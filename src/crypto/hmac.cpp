@@ -4,7 +4,7 @@
 
 namespace kshot::crypto {
 
-Digest256 hmac_sha256(ByteSpan key, ByteSpan message) {
+HmacSha256::HmacSha256(ByteSpan key) {
   u8 k[64] = {0};
   if (key.size() > 64) {
     Digest256 kh = sha256(key);
@@ -13,21 +13,26 @@ Digest256 hmac_sha256(ByteSpan key, ByteSpan message) {
     std::memcpy(k, key.data(), key.size());
   }
 
-  u8 ipad[64], opad[64];
+  u8 ipad[64];
   for (int i = 0; i < 64; ++i) {
     ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
+    opad_[i] = k[i] ^ 0x5c;
   }
+  inner_.update(ByteSpan(ipad, 64));
+}
 
-  Sha256 inner;
-  inner.update(ByteSpan(ipad, 64));
-  inner.update(message);
-  Digest256 ih = inner.finish();
-
+Digest256 HmacSha256::finish() {
+  Digest256 ih = inner_.finish();
   Sha256 outer;
-  outer.update(ByteSpan(opad, 64));
+  outer.update(ByteSpan(opad_, 64));
   outer.update(ByteSpan(ih.data(), ih.size()));
   return outer.finish();
+}
+
+Digest256 hmac_sha256(ByteSpan key, ByteSpan message) {
+  HmacSha256 mac(key);
+  mac.update(message);
+  return mac.finish();
 }
 
 bool digest_equal(const Digest256& a, const Digest256& b) {

@@ -2,7 +2,14 @@
 
 #include <cstring>
 
+#include "crypto/counters.hpp"
 #include "crypto/simd.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define KSHOT_SHA_NI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace kshot::crypto {
 
@@ -23,7 +30,96 @@ constexpr u32 kK[64] = {
 
 inline u32 rotr(u32 x, int n) { return (x >> n) | (x << (32 - n)); }
 
+std::atomic<bool> g_sha_ni_on{true};
+
+#ifdef KSHOT_SHA_NI
+
+bool cpu_has_sha_ni() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+  const bool ssse3 = (c & bit_SSSE3) != 0;
+  const bool sse41 = (c & bit_SSE4_1) != 0;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+  const bool sha = (b & (1u << 29)) != 0;  // CPUID.(7,0):EBX.SHA
+  return ssse3 && sse41 && sha;
+}
+
+// Multi-block SHA-NI kernel. The state lives in two registers in the order
+// the sha256rnds2 instruction wants (ABEF, CDGH). Each of the 16 steps does
+// four rounds (two rnds2 on W+K) while sha256msg1/msg2 extend the message
+// schedule by the four words the next step uses. The rounds are the
+// FIPS 180-4 rounds, so the digest equals the portable path's.
+__attribute__((target("sha,ssse3,sse4.1"))) void compress_sha_ni(
+    u32 h[8], const u8* data, size_t nblocks) {
+  const __m128i kBswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  hgfe = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, cdab, 0xF0);
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int r = 0; r < 16; ++r) {
+      if (r < 4) {
+        w[r] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * r)),
+            kBswap);
+      }
+      const __m128i k4 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * r));
+      __m128i wk = _mm_add_epi32(w[r % 4], k4);
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (r >= 3 && r <= 14) {
+        // W[4(r+1) .. 4(r+1)+3], from the msg1 partial sums plus W[t-7].
+        __m128i& next = w[(r + 1) % 4];
+        next = _mm_add_epi32(next,
+                             _mm_alignr_epi8(w[r % 4], w[(r + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, w[r % 4]);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+      if (r >= 1 && r <= 12) {
+        w[(r + 3) % 4] = _mm_sha256msg1_epu32(w[(r + 3) % 4], w[r % 4]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // KSHOT_SHA_NI
+
 }  // namespace
+
+bool sha_ni_supported() {
+#ifdef KSHOT_SHA_NI
+  static const bool supported = cpu_has_sha_ni();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+void set_sha_ni_enabled(bool on) {
+  g_sha_ni_on.store(on, std::memory_order_relaxed);
+}
+
+bool sha_ni_enabled() {
+  return sha_ni_supported() && g_sha_ni_on.load(std::memory_order_relaxed);
+}
 
 void Sha256::reset() {
   h_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -95,7 +191,19 @@ void Sha256::compress(const u8 block[64]) {
   h_[7] += h;
 }
 
+void Sha256::compress_blocks(const u8* data, size_t nblocks) {
+  if (nblocks == 0) return;
+#ifdef KSHOT_SHA_NI
+  if (simd_enabled() && sha_ni_enabled()) {
+    compress_sha_ni(h_.data(), data, nblocks);
+    return;
+  }
+#endif
+  for (size_t i = 0; i < nblocks; ++i) compress(data + 64 * i);
+}
+
 void Sha256::update(ByteSpan data) {
+  detail::sha256_bytes.fetch_add(data.size(), std::memory_order_relaxed);
   total_len_ += data.size();
   size_t off = 0;
   if (buf_len_ > 0) {
@@ -104,14 +212,13 @@ void Sha256::update(ByteSpan data) {
     buf_len_ += take;
     off += take;
     if (buf_len_ == 64) {
-      compress(buf_);
+      compress_blocks(buf_, 1);
       buf_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
-  }
+  const size_t nblocks = (data.size() - off) / 64;
+  compress_blocks(data.data() + off, nblocks);
+  off += 64 * nblocks;
   if (off < data.size()) {
     std::memcpy(buf_, data.data() + off, data.size() - off);
     buf_len_ = data.size() - off;

@@ -13,7 +13,7 @@ u64 sdbm(ByteSpan data);
 /// FNV-1a 64-bit.
 u64 fnv1a(ByteSpan data);
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected).
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8.
 u32 crc32(ByteSpan data);
 
 }  // namespace kshot::crypto

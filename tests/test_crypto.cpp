@@ -115,6 +115,21 @@ TEST(Hmac, KeySensitivity) {
   EXPECT_FALSE(digest_equal(hmac_sha256(k1, msg), hmac_sha256(k2, msg)));
 }
 
+TEST(Hmac, IncrementalMatchesOneShot) {
+  Rng rng(4231);
+  Bytes msg = rng.next_bytes(1000);
+  for (size_t key_len : {20ul, 64ul, 131ul}) {
+    Bytes key(key_len, 0xaa);
+    for (size_t split : {0ul, 12ul, 64ul, 65ul, 999ul, 1000ul}) {
+      HmacSha256 mac(key);
+      mac.update(ByteSpan(msg).subspan(0, split));
+      mac.update(ByteSpan(msg).subspan(split));
+      EXPECT_EQ(mac.finish(), hmac_sha256(key, msg))
+          << "key " << key_len << ", split at " << split;
+    }
+  }
+}
+
 TEST(Hmac, DigestEqualConstantTimeSemantics) {
   Digest256 a{}, b{};
   EXPECT_TRUE(digest_equal(a, b));
@@ -199,6 +214,24 @@ TEST(X25519, Rfc7748Vector2) {
   X25519Key out = x25519(s, p);
   EXPECT_EQ(to_hex(ByteSpan(out.data(), 32)),
             "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
+}
+
+TEST(X25519, Rfc7748IteratedVectors) {
+  // RFC 7748 §5.2: start with k = u = 9, then repeatedly set
+  // (k, u) = (X25519(k, u), k). Squarings dominate the ladder, so this pins
+  // fe_sq over thousands of chained inputs.
+  X25519Key k{9}, u{9};
+  auto step = [&] {
+    X25519Key r = x25519(k, u);
+    u = k;
+    k = r;
+  };
+  step();
+  EXPECT_EQ(to_hex(ByteSpan(k.data(), 32)),
+            "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+  for (int i = 1; i < 1000; ++i) step();
+  EXPECT_EQ(to_hex(ByteSpan(k.data(), 32)),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
 }
 
 TEST(X25519, Rfc7748DiffieHellman) {

@@ -3,12 +3,28 @@
 // scanning/retargeting.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+
 #include "isa/assembler.hpp"
 #include "isa/disasm.hpp"
 #include "isa/isa.hpp"
 #include "isa/reloc.hpp"
 
 namespace kshot::isa {
+
+// GoogleTest names each round-trip case after the raw bytes of its Instr.
+// The padding between `b` and `imm` holds whatever was on the stack, so the
+// names changed from one process to the next; print it as zeros instead.
+void PrintTo(const Instr& in, std::ostream* os) {
+  unsigned char raw[sizeof(Instr)] = {};
+  std::memcpy(raw + offsetof(Instr, op), &in.op, sizeof in.op);
+  std::memcpy(raw + offsetof(Instr, a), &in.a, sizeof in.a);
+  std::memcpy(raw + offsetof(Instr, b), &in.b, sizeof in.b);
+  std::memcpy(raw + offsetof(Instr, imm), &in.imm, sizeof in.imm);
+  ::testing::internal::PrintBytesInObjectTo(raw, sizeof raw, os);
+}
+
 namespace {
 
 Bytes encode_one(const Instr& in) {

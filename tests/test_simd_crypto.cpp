@@ -1,17 +1,22 @@
-// SIMD crypto differential: the 4-lane u32x4 kernels behind SHA-256 and
-// ChaCha20 must be bit-identical to the scalar references on every input
-// shape — standard NIST/RFC vectors, every length 0..257, every unaligned
-// source offset 0..15, and multi-block sizes spanning the 4-lane ChaCha20
-// threshold. Every case here flips the runtime toggle itself, so one run of
-// this binary exercises both code paths — no separate CI matrix leg needed
-// to keep the scalar fallback honest.
+// SIMD crypto differential: the SHA-NI and 4-lane u32x4 kernels behind
+// SHA-256, the u32x4 ChaCha20 keystream and the slicing-by-8 CRC32 must be
+// bit-identical to their scalar references on every input shape — standard
+// NIST/RFC vectors, every length 0..257, every unaligned source offset
+// 0..15, multi-block sizes, every split of an incremental update, and sizes
+// spanning the 4-lane ChaCha20 threshold. Every case here flips the runtime
+// toggles itself, so one run of this binary exercises every code path the
+// host has — no separate CI matrix leg needed to keep the fallbacks honest.
+// On a host without SHA-NI its mode runs the u32x4 path twice.
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/simd.hpp"
+#include "crypto/simple_hash.hpp"
 
 namespace kshot::crypto {
 namespace {
@@ -26,9 +31,52 @@ class SimdMode {
   bool prev_;
 };
 
+/// The three SHA-256 compress paths the dispatch can take.
+enum class ShaPath { kScalar, kVector, kShaNi };
+constexpr ShaPath kShaPaths[] = {ShaPath::kScalar, ShaPath::kVector,
+                                 ShaPath::kShaNi};
+
+const char* name_of(ShaPath p) {
+  switch (p) {
+    case ShaPath::kScalar: return "scalar";
+    case ShaPath::kVector: return "u32x4";
+    case ShaPath::kShaNi: return "sha-ni";
+  }
+  return "?";
+}
+
+/// RAII selection of one SHA-256 path through both process-wide switches;
+/// the SHA-NI switch goes back to its default (on) afterwards.
+class ShaMode {
+ public:
+  explicit ShaMode(ShaPath p) : simd_(p != ShaPath::kScalar) {
+    set_sha_ni_enabled(p == ShaPath::kShaNi);
+  }
+  ~ShaMode() { set_sha_ni_enabled(true); }
+
+ private:
+  SimdMode simd_;
+};
+
 std::string hex_digest(ByteSpan data) {
   Digest256 d = sha256(data);
   return to_hex(ByteSpan(d.data(), d.size()));
+}
+
+std::string hex_digest_in(ShaPath p, ByteSpan data) {
+  ShaMode mode(p);
+  return hex_digest(data);
+}
+
+/// Bitwise CRC-32 straight from the polynomial: the reference the
+/// slicing-by-8 tables must reproduce.
+u32 crc32_bitwise(ByteSpan data) {
+  u32 c = 0xFFFFFFFFu;
+  for (u8 b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFu;
 }
 
 ByteSpan span_of(const std::string& s) {
@@ -44,11 +92,11 @@ TEST(SimdSha256, NistVectorsPassInBothModes) {
       {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
   };
-  for (bool simd : {false, true}) {
-    SimdMode mode(simd);
+  for (ShaPath p : kShaPaths) {
+    ShaMode mode(p);
     for (const auto& [msg, want] : vectors) {
       EXPECT_EQ(hex_digest(span_of(msg)), want)
-          << (simd ? "simd" : "scalar") << " mode, message \"" << msg << "\"";
+          << name_of(p) << " mode, message \"" << msg << "\"";
     }
   }
 }
@@ -57,9 +105,8 @@ TEST(SimdSha256, MillionAsPassesInBothModes) {
   std::string msg(1'000'000, 'a');
   const char* want =
       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
-  for (bool simd : {false, true}) {
-    SimdMode mode(simd);
-    EXPECT_EQ(hex_digest(span_of(msg)), want);
+  for (ShaPath p : kShaPaths) {
+    EXPECT_EQ(hex_digest_in(p, span_of(msg)), want) << name_of(p);
   }
 }
 
@@ -71,16 +118,65 @@ TEST(SimdSha256, EveryLengthAndOffsetMatchesScalar) {
   for (size_t len = 0; len <= 257; ++len) {
     for (size_t off = 0; off < 16; ++off) {
       ByteSpan in(buf.data() + off, len);
-      std::string scalar_d, simd_d;
-      {
-        SimdMode mode(false);
-        scalar_d = hex_digest(in);
+      const std::string scalar_d = hex_digest_in(ShaPath::kScalar, in);
+      for (ShaPath p : {ShaPath::kVector, ShaPath::kShaNi}) {
+        ASSERT_EQ(scalar_d, hex_digest_in(p, in))
+            << name_of(p) << " len=" << len << " off=" << off;
       }
-      {
-        SimdMode mode(true);
-        simd_d = hex_digest(in);
-      }
-      ASSERT_EQ(scalar_d, simd_d) << "len=" << len << " off=" << off;
+    }
+  }
+}
+
+TEST(SimdSha256, MultiBlockLengthsMatchScalar) {
+  // The SHA-NI kernel takes every whole block of an update in one call;
+  // these lengths put 63/64/65 and 1024+k blocks through it.
+  RecordProperty("sha_ni", sha_ni_supported() ? "1" : "0");
+  std::printf("sha_ni=%d (SHA-256 path under the default toggles: %s)\n",
+              sha_ni_supported() ? 1 : 0,
+              sha_ni_supported() ? "sha-ni" : "u32x4");
+  Rng rng(0xB10C5);
+  Bytes buf = rng.next_bytes(65536 + 64 + 1);
+  std::vector<size_t> lengths = {4095, 4096, 4097};
+  for (size_t k = 0; k <= 64; ++k) lengths.push_back(65536 + k);
+  for (size_t len : lengths) {
+    // Odd source offset: the kernels must not assume aligned input.
+    ByteSpan in(buf.data() + 1, len);
+    const std::string scalar_d = hex_digest_in(ShaPath::kScalar, in);
+    for (ShaPath p : {ShaPath::kVector, ShaPath::kShaNi}) {
+      ASSERT_EQ(scalar_d, hex_digest_in(p, in)) << name_of(p) << " len=" << len;
+    }
+  }
+}
+
+TEST(SimdSha256, UpdateSplitAtEveryBoundaryMatchesOneShot) {
+  // Splitting one message into two update() calls at every point 0..128
+  // interleaves the buffered-block path with the bulk path in every phase.
+  Rng rng(0x5B117);
+  Bytes msg = rng.next_bytes(64 * 5 + 17);
+  const ByteSpan all(msg.data(), msg.size());
+  const std::string want = hex_digest_in(ShaPath::kScalar, all);
+  for (ShaPath p : kShaPaths) {
+    ShaMode mode(p);
+    for (size_t cut = 0; cut <= 128; ++cut) {
+      Sha256 ctx;
+      ctx.update(all.subspan(0, cut));
+      ctx.update(all.subspan(cut));
+      Digest256 d = ctx.finish();
+      ASSERT_EQ(to_hex(ByteSpan(d.data(), d.size())), want)
+          << name_of(p) << " cut=" << cut;
+    }
+  }
+}
+
+TEST(SimdCrc32, EveryLengthAndOffsetMatchesBitwiseReference) {
+  Rng rng(0xC4C32);
+  Bytes buf(16 + 257);
+  rng.fill(MutByteSpan(buf.data(), buf.size()));
+  for (size_t len = 0; len <= 257; ++len) {
+    for (size_t off = 0; off < 16; ++off) {
+      ByteSpan in(buf.data() + off, len);
+      ASSERT_EQ(crc32(in), crc32_bitwise(in))
+          << "len=" << len << " off=" << off;
     }
   }
 }

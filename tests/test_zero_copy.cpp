@@ -8,9 +8,14 @@
 // trace span content). The only thing allowed to differ between the modes
 // is the smm.staged_copies counter, which is the whole point: the staged
 // path must copy exactly once (the SMM commit write) under the span parser.
+// The hashing work of one bulk patch is pinned the same way, through the
+// crypto.sha256_bytes / crypto.crc32_bytes counters.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/kshot.hpp"
+#include "crypto/counters.hpp"
 #include "cve/suite.hpp"
 #include "fuzz/fuzz.hpp"
 #include "obs/metrics.hpp"
@@ -121,6 +126,39 @@ TEST(ZeroCopyCounters, StagedPathCopiesExactlyOncePerPackage) {
   ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
   ASSERT_TRUE(rep->success);
   EXPECT_EQ(reg.counter("smm.staged_copies").value(), 1u);
+}
+
+/// Every hashing pass over a package — channel and seal MACs, pin hash,
+/// package digest, CRCs, SMM verify — shows up in these two counters. The
+/// deltas of one 400 KB live_patch are deterministic, so a change that adds
+/// or removes a pass in any trust domain changes them.
+TEST(ZeroCopyCounters, BulkPatchHashWorkIsPinned) {
+  const size_t size = 400u << 10;
+  cve::CveCase c = testbed::make_size_sweep_case(size);
+  testbed::TestbedOptions topts;
+  topts.layout = testbed::layout_for_patch_bytes(size);
+  auto tb = testbed::Testbed::boot(c, std::move(topts));
+  ASSERT_TRUE(tb.is_ok()) << tb.status().to_string();
+
+  const crypto::HashCounts before = crypto::hash_counts();
+  auto rep = (*tb)->kshot().live_patch(c.id);
+  const crypto::HashCounts after = crypto::hash_counts();
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+  ASSERT_TRUE(rep->success);
+
+  const u64 sha = after.sha256_bytes - before.sha256_bytes;
+  const u64 crc = after.crc32_bytes - before.crc32_bytes;
+  const u64 pkg = rep->stats.package_bytes;
+  std::printf("package %llu B: sha256 %llu B (%.2f per package byte), "
+              "crc32 %llu B (%.2f per package byte)\n",
+              static_cast<unsigned long long>(pkg),
+              static_cast<unsigned long long>(sha),
+              static_cast<double>(sha) / static_cast<double>(pkg),
+              static_cast<unsigned long long>(crc),
+              static_cast<double>(crc) / static_cast<double>(pkg));
+  EXPECT_EQ(pkg, 409800u);
+  EXPECT_EQ(sha, 5330624u);  // 83,291 blocks
+  EXPECT_EQ(crc, 2048400u);
 }
 
 TEST(ZeroCopyCounters, LegacyParserCopiesStrictlyMore) {

@@ -288,9 +288,12 @@ Status Kshot::apply_with_retry(
     // attempt's *rejection* is exactly what re-staging an already-applied
     // set looks like, and trusting it would report failure with the patch
     // live in kernel text.
-    const bool ask_probe = !res || outcome_unknown;
-    if (!res) outcome_unknown = true;
-    if (ask_probe && applied_probe && applied_probe()) {
+    // kNoSession is the same uncertainty seen from the handler's side: this
+    // attempt opened its session itself (echo-checked), so an SMI the helper
+    // never issued consumed it — possibly by running the very apply staged
+    // for it (a duplicated SMI under a flipped command word).
+    if (!res || *res == SmmStatus::kNoSession) outcome_unknown = true;
+    if (outcome_unknown && applied_probe && applied_probe()) {
       emit_instant("apply_confirmed_by_query",
                    {{"attempt", std::to_string(attempt)}});
       report.smm_status = SmmStatus::kOk;

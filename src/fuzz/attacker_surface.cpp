@@ -23,6 +23,7 @@
 #include "crypto/sha256.hpp"
 #include "cve/suite.hpp"
 #include "fuzz/fuzz.hpp"
+#include "machine/mem_window.hpp"
 #include "testbed/testbed.hpp"
 
 namespace kshot::fuzz {
@@ -62,23 +63,25 @@ class AttackerSurface final : public Surface {
   /// stacks, modules, mem_X). The EPC legitimately diverges across retry
   /// counts (enclave re-preprocessing), SMRAM across SMI counts, and the
   /// mailbox page + mem_W are attacker scratch by design.
-  Bytes snap(testbed::Testbed& t) const {
-    const auto& lay = t.layout();
-    const u8* p = t.machine().mem().raw(0, lay.epc_base);
-    return Bytes(p, p + lay.epc_base);
+  static machine::MemWindow window(const kernel::MemoryLayout& lay) {
+    return machine::MemWindow(
+        0, lay.epc_base,
+        {{lay.smram_base, lay.smram_base + lay.smram_size},
+         {lay.mem_rw_base(), lay.mem_rw_base() + lay.mem_rw_size},
+         {lay.mem_w_base(), lay.mem_w_base() + lay.mem_w_size}});
   }
 
-  bool excluded(const kernel::MemoryLayout& lay, size_t i) const {
-    if (i >= lay.smram_base && i < lay.smram_base + lay.smram_size) {
-      return true;
-    }
-    if (i >= lay.mem_rw_base() && i < lay.mem_rw_base() + lay.mem_rw_size) {
-      return true;
-    }
-    if (i >= lay.mem_w_base() && i < lay.mem_w_base() + lay.mem_w_size) {
-      return true;
-    }
-    return false;
+  /// The image the window is read from: physical memory [0, epc_base).
+  static ByteSpan image(testbed::Testbed& t) {
+    const size_t n = t.layout().epc_base;
+    return ByteSpan(t.machine().mem().raw(0, n), n);
+  }
+
+  /// Refills `out` with the current image; the buffer is reused across
+  /// cases so a snapshot does not page-fault a fresh 36 MB allocation.
+  static void snap(testbed::Testbed& t, Bytes& out) {
+    ByteSpan img = image(t);
+    out.assign(img.begin(), img.end());
   }
 
   /// Boots and patches once with no adversary attached; the resulting
@@ -95,7 +98,7 @@ class AttackerSurface final : public Surface {
     if (rep->detections.any()) {
       return Status{Errc::kInternal, "baseline run reported detections"};
     }
-    baseline_final_ = snap(**tb);
+    snap(**tb, baseline_final_);
     baseline_apply_attempts_ = rep->resilience.apply_attempts;
     baseline_ready_ = true;
     return Status::ok();
@@ -104,6 +107,7 @@ class AttackerSurface final : public Surface {
   AttackerSurfaceOptions opts_;
   bool baseline_ready_ = false;
   Bytes baseline_final_;
+  Bytes pre_;  // per-case pre-patch image, reused across cases
   u32 baseline_apply_attempts_ = 0;
 };
 
@@ -166,7 +170,7 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
     t.kshot().handler().enable_legacy_copy_parser_for_selftest();
   }
 
-  Bytes pre = snap(t);
+  snap(t, pre_);
 
   attacks::AsyncAdversary adv(t.machine(), t.kshot(), t.layout(), *sched);
   adv.attach();
@@ -210,20 +214,16 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
   // run must leave memory byte-identical to the no-attack run; a failed run
   // must leave the kernel byte-identical to its pre-patch image AND carry a
   // classified DetectionReport when the adversary actually interposed.
-  const Bytes& expected = success ? baseline_final_ : pre;
-  Bytes cur = snap(t);
-  const auto& lay = t.layout();
-  for (size_t i = 0; i < cur.size(); ++i) {
-    if (excluded(lay, i)) continue;
-    if (cur[i] != expected[i]) {
-      std::ostringstream os;
-      os << "memory differs from the " << (success ? "no-attack" : "pre-patch")
-         << " image at 0x" << std::hex << i << ": expected 0x"
-         << static_cast<int>(expected[i]) << " got 0x"
-         << static_cast<int>(cur[i]);
-      fail("silent-corruption", os.str());
-      break;
-    }
+  const Bytes& expected = success ? baseline_final_ : pre_;
+  const ByteSpan cur = image(t);
+  const machine::MemWindow win = window(t.layout());
+  if (auto at = win.first_difference(cur, expected)) {
+    std::ostringstream os;
+    os << "memory differs from the " << (success ? "no-attack" : "pre-patch")
+       << " image at 0x" << std::hex << *at << ": expected 0x"
+       << static_cast<int>(expected[*at]) << " got 0x"
+       << static_cast<int>(cur[*at]);
+    fail("silent-corruption", os.str());
   }
   if (!success && !det.any() && adv.actions_fired() > 0) {
     fail("silent-failure",
@@ -248,10 +248,10 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
     std::string ds = det.to_string();
     dw.put_u32(static_cast<u32>(ds.size()));
     dw.put_bytes(to_bytes(ds));
-    for (size_t i = 0; i < cur.size(); ++i) {
-      if (!excluded(lay, i)) dw.put_u8(cur[i]);
-    }
-    crypto::Digest256 d = crypto::sha256(dw.bytes());
+    crypto::Sha256 h;
+    h.update(dw.bytes());
+    win.hash_into(h, cur);
+    crypto::Digest256 d = h.finish();
     v.state_digest = to_hex(ByteSpan(d.data(), d.size()));
   }
 
@@ -349,6 +349,19 @@ std::vector<std::pair<std::string, Bytes>> seed_attacker_cases() {
                                         AdversaryTrigger::kOnStaged, 1u << 8,
                                         0});
     out.emplace_back("replay-spoiled-pair", s.encode());
+  }
+  {
+    // A duplicated SMI at staging, its command word flipped to kApplyPatch,
+    // applies the staged package before the helper's own apply SMI, which
+    // then finds its session consumed (kNoSession). The helper used to take
+    // that for a rejection and report failure with the patch live.
+    AdversarySchedule s;
+    s.actions.push_back(AdversaryAction{AdversaryVariant::kSmiDuplicate,
+                                        AdversaryTrigger::kOnStaged, 0, 0});
+    s.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                        AdversaryTrigger::kPreSmi, 1u << 8,
+                                        2});
+    out.emplace_back("smidup-cmdflip-apply", s.encode());
   }
   return out;
 }

@@ -25,6 +25,7 @@
 #include "crypto/simple_hash.hpp"
 #include "fuzz/fuzz.hpp"
 #include "machine/machine.hpp"
+#include "machine/mem_window.hpp"
 #include "patchtool/package.hpp"
 
 namespace kshot::fuzz {
@@ -377,6 +378,20 @@ class LifecycleSurface final : public Surface {
  private:
   LifecycleSurfaceOptions opts_;
   kernel::MemoryLayout lay_ = fuzz_layout();
+  /// Digested memory: everything outside SMRAM and the mailbox page.
+  machine::MemWindow digest_window_{
+      0, lay_.mem_bytes,
+      {{lay_.smram_base, lay_.smram_base + lay_.smram_size},
+       {lay_.mem_rw_base(), lay_.mem_rw_base() + lay_.mem_rw_size}}};
+  /// Compared after the drain: additionally minus mem_W (staged envelopes)
+  /// and mem_X (abandoned bodies).
+  machine::MemWindow drain_window_{
+      0, lay_.mem_bytes,
+      {{lay_.smram_base, lay_.smram_base + lay_.smram_size},
+       {lay_.mem_rw_base(), lay_.mem_rw_base() + lay_.mem_rw_size},
+       {lay_.mem_w_base(), lay_.mem_w_base() + lay_.mem_w_size},
+       {lay_.mem_x_base(), lay_.mem_x_base() + lay_.mem_x_size}}};
+  Bytes snapshot_;  // per-case pre-run image, reused across cases
 };
 
 Bytes LifecycleSurface::generate(Rng& rng) {
@@ -447,8 +462,8 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
 
   // Pre-run snapshot: after the final drain, everything outside
   // SMRAM/mailbox/mem_W/mem_X must come back to exactly this.
-  Bytes snapshot(m.mem().raw(0, lay_.mem_bytes),
-                 m.mem().raw(0, lay_.mem_bytes) + lay_.mem_bytes);
+  const ByteSpan image(m.mem().raw(0, lay_.mem_bytes), lay_.mem_bytes);
+  snapshot_.assign(image.begin(), image.end());
 
   StackModel model;
   bool applied_any = false;
@@ -601,38 +616,21 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   // mem_W (staged envelopes) and mem_X (abandoned bodies) must be
   // byte-identical to the pre-run snapshot.
   if (!v.failure) {
-    u64 memw_base = lay_.mem_w_base();
-    u64 memx_base = lay_.mem_x_base();
-    const u8* cur = m.mem().raw(0, lay_.mem_bytes);
-    for (size_t i = 0; i < lay_.mem_bytes; ++i) {
-      if (i >= lay_.smram_base && i < lay_.smram_base + lay_.smram_size) {
-        continue;
-      }
-      if (i >= lay_.mem_rw_base() &&
-          i < lay_.mem_rw_base() + lay_.mem_rw_size) {
-        continue;
-      }
-      if (i >= memw_base && i < memw_base + lay_.mem_w_size) continue;
-      if (i >= memx_base && i < memx_base + lay_.mem_x_size) continue;
-      if (cur[i] != snapshot[i]) {
-        std::ostringstream os;
-        os << "memory differs at 0x" << std::hex << i << " after drain";
-        fail("drain-memory", os.str());
-        break;
-      }
+    if (auto at = drain_window_.first_difference(image, snapshot_)) {
+      std::ostringstream os;
+      os << "memory differs at 0x" << std::hex << *at << " after drain";
+      fail("drain-memory", os.str());
     }
   }
 
   {
-    const u8* cur = m.mem().raw(0, lay_.mem_bytes);
-    auto put_mem = [&](u64 lo, u64 hi) {
-      digest_w.put_bytes(ByteSpan(cur + lo, hi - lo));
-    };
-    put_mem(0, lay_.smram_base);
-    put_mem(lay_.smram_base + lay_.smram_size, lay_.mem_rw_base());
-    put_mem(lay_.mem_rw_base() + lay_.mem_rw_size, lay_.mem_bytes);
-    digest_w.put_u64(m.smm_cycles());
-    crypto::Digest256 d = crypto::sha256(digest_w.bytes());
+    crypto::Sha256 h;
+    h.update(digest_w.bytes());
+    digest_window_.hash_into(h, image);
+    ByteWriter tail;
+    tail.put_u64(m.smm_cycles());
+    h.update(tail.bytes());
+    crypto::Digest256 d = h.finish();
     v.state_digest = to_hex(ByteSpan(d.data(), d.size()));
   }
 

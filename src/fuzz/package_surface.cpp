@@ -22,6 +22,7 @@
 #include "crypto/sha256.hpp"
 #include "fuzz/fuzz.hpp"
 #include "machine/machine.hpp"
+#include "machine/mem_window.hpp"
 #include "patchtool/package.hpp"
 
 namespace kshot::fuzz {
@@ -300,6 +301,15 @@ class PackageSurface final : public Surface {
  private:
   PackageSurfaceOptions opts_;
   kernel::MemoryLayout lay_ = fuzz_layout();
+  /// Compared and digested memory: everything outside SMRAM and the
+  /// mailbox page, both of which legitimately change under SMIs.
+  machine::MemWindow window_{
+      0, lay_.mem_bytes,
+      {{lay_.smram_base, lay_.smram_base + lay_.smram_size},
+       {lay_.mem_rw_base(), lay_.mem_rw_base() + lay_.mem_rw_size}}};
+  // Per-case images, reused across cases.
+  Bytes snapshot_;
+  Bytes expected_;
 };
 
 // ---- Generation --------------------------------------------------------------
@@ -521,8 +531,8 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   // Pre-apply snapshot: the byte-identical baseline every rejection path
   // must restore. Taken before the apply SMI; the mailbox page and SMRAM
   // are excluded from comparison (both legitimately change under SMIs).
-  Bytes snapshot(m.mem().raw(0, lay_.mem_bytes),
-                 m.mem().raw(0, lay_.mem_bytes) + lay_.mem_bytes);
+  const ByteSpan image(m.mem().raw(0, lay_.mem_bytes), lay_.mem_bytes);
+  snapshot_.assign(image.begin(), image.end());
 
   Prediction pred = predict(lay_, encoded, sealed.size());
 
@@ -560,23 +570,12 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   // Oracle: success-or-byte-identical memory. Expected image = snapshot
   // (+ modeled writes iff the apply was predicted to succeed).
   auto compare_memory = [&](const Bytes& expected, const char* oracle) {
-    const u8* cur = m.mem().raw(0, lay_.mem_bytes);
-    for (size_t i = 0; i < lay_.mem_bytes; ++i) {
-      if (i >= lay_.smram_base && i < lay_.smram_base + lay_.smram_size) {
-        continue;
-      }
-      if (i >= lay_.mem_rw_base() &&
-          i < lay_.mem_rw_base() + lay_.mem_rw_size) {
-        continue;
-      }
-      if (cur[i] != expected[i]) {
-        std::ostringstream os;
-        os << "memory differs at 0x" << std::hex << i << ": expected 0x"
-           << static_cast<int>(expected[i]) << " got 0x"
-           << static_cast<int>(cur[i]);
-        fail(oracle, os.str());
-        return;
-      }
+    if (auto at = window_.first_difference(image, expected)) {
+      std::ostringstream os;
+      os << "memory differs at 0x" << std::hex << *at << ": expected 0x"
+         << static_cast<int>(expected[*at]) << " got 0x"
+         << static_cast<int>(image[*at]);
+      fail(oracle, os.str());
     }
   };
 
@@ -587,14 +586,14 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     // Sets apply in batch order; var edits (data), bodies (mem_X) and
     // trampolines (text) live in disjoint regions, so modeling them
     // category-by-category preserves every cross-set last-writer outcome.
-    Bytes expected = snapshot;
     if (applied) {
+      expected_.assign(snapshot_.begin(), snapshot_.end());
       for (const auto& s : pred.sets) {
-        model_apply(s, expected, /*with_trampolines=*/true);
+        model_apply(s, expected_, /*with_trampolines=*/true);
       }
     }
-    compare_memory(expected, applied ? "apply-memory-model"
-                                     : "reject-memory-identical");
+    compare_memory(applied ? expected_ : snapshot_,
+                   applied ? "apply-memory-model" : "reject-memory-identical");
   }
   if (applied && handler.installed().size() != total_entries) {
     fail("installed-count",
@@ -630,14 +629,14 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
       // Popping unit *it restores the entry bytes captured just before that
       // set applied — the earlier sets' trampolines stay live (overlapping
       // jmp windows never get this far: validation rejects them).
-      Bytes expected = snapshot;
+      expected_.assign(snapshot_.begin(), snapshot_.end());
       for (const auto& s : pred.sets) {
-        model_apply(s, expected, /*with_trampolines=*/false);
+        model_apply(s, expected_, /*with_trampolines=*/false);
       }
       for (size_t j = 0; j < *it; ++j) {
-        model_trampolines(pred.sets[j], expected);
+        model_trampolines(pred.sets[j], expected_);
       }
-      compare_memory(expected, "rollback-memory");
+      compare_memory(expected_, "rollback-memory");
       if (handler.installed().size() != remaining) {
         fail("rollback-residue",
              "installed() size " + std::to_string(handler.installed().size()) +
@@ -702,23 +701,22 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   }
 
   {
-    const u8* cur = m.mem().raw(0, lay_.mem_bytes);
-    auto put_mem = [&](u64 lo, u64 hi) {
-      digest_w.put_bytes(ByteSpan(cur + lo, hi - lo));
-    };
-    put_mem(0, lay_.smram_base);
-    put_mem(lay_.smram_base + lay_.smram_size, lay_.mem_rw_base());
-    put_mem(lay_.mem_rw_base() + lay_.mem_rw_size, lay_.mem_bytes);
+    // Statuses, then final memory, then the trace and SMM cycle ledger.
+    crypto::Sha256 h;
+    h.update(digest_w.bytes());
+    window_.hash_into(h, image);
+    ByteWriter tail;
     for (const auto& e : trace.snapshot()) {
-      digest_w.put_u8(static_cast<u8>(e.kind));
-      digest_w.put_u32(static_cast<u32>(e.component.size()));
-      digest_w.put_bytes(to_bytes(e.component));
-      digest_w.put_u32(static_cast<u32>(e.name.size()));
-      digest_w.put_bytes(to_bytes(e.name));
-      digest_w.put_u64(e.virt_cycles());
+      tail.put_u8(static_cast<u8>(e.kind));
+      tail.put_u32(static_cast<u32>(e.component.size()));
+      tail.put_bytes(to_bytes(e.component));
+      tail.put_u32(static_cast<u32>(e.name.size()));
+      tail.put_bytes(to_bytes(e.name));
+      tail.put_u64(e.virt_cycles());
     }
-    digest_w.put_u64(m.smm_cycles());
-    crypto::Digest256 d = crypto::sha256(digest_w.bytes());
+    tail.put_u64(m.smm_cycles());
+    h.update(tail.bytes());
+    crypto::Digest256 d = h.finish();
     v.state_digest = to_hex(ByteSpan(d.data(), d.size()));
   }
 

@@ -3,17 +3,22 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "common/byte_io.hpp"
 
 namespace kshot::machine {
 
 PhysMem::PhysMem(size_t size_bytes)
-    : mem_(size_bytes, 0), attrs_((size_bytes + kPageSize - 1) / kPageSize) {}
+    : mem_(static_cast<u8*>(std::calloc(size_bytes == 0 ? 1 : size_bytes, 1))),
+      size_(size_bytes),
+      attrs_((size_bytes + kPageSize - 1) / kPageSize) {
+  if (!mem_) throw std::bad_alloc();
+}
 
 Status PhysMem::check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
                       bool fetching) const {
-  if (addr + len > mem_.size() || addr + len < addr) {
+  if (addr + len > size_ || addr + len < addr) {
     return {Errc::kOutOfRange, "physical address out of range"};
   }
   if (len == 0) return Status::ok();
@@ -75,14 +80,14 @@ Status PhysMem::read(PhysAddr addr, MutByteSpan out, AccessMode mode) const {
   KSHOT_RETURN_IF_ERROR(check(addr, out.size(), mode, false, false));
   // Empty spans may carry a null data(); memcpy's pointer args must be
   // non-null even for size 0.
-  if (!out.empty()) std::memcpy(out.data(), mem_.data() + addr, out.size());
+  if (!out.empty()) std::memcpy(out.data(), mem_.get() + addr, out.size());
   return Status::ok();
 }
 
 Status PhysMem::write(PhysAddr addr, ByteSpan data, AccessMode mode) {
   KSHOT_RETURN_IF_ERROR(check(addr, data.size(), mode, true, false));
   if (!data.empty()) {
-    std::memcpy(mem_.data() + addr, data.data(), data.size());
+    std::memcpy(mem_.get() + addr, data.data(), data.size());
   }
   return Status::ok();
 }
@@ -112,7 +117,7 @@ Status PhysMem::fetch(PhysAddr addr, size_t n, MutByteSpan out,
                       AccessMode mode) const {
   assert(out.size() >= n);
   KSHOT_RETURN_IF_ERROR(check(addr, n, mode, false, true));
-  std::memcpy(out.data(), mem_.data() + addr, n);
+  std::memcpy(out.data(), mem_.get() + addr, n);
   return Status::ok();
 }
 
@@ -142,13 +147,13 @@ bool PhysMem::in_smram(PhysAddr addr) const {
 }
 
 u8* PhysMem::raw(PhysAddr addr, size_t len) {
-  if (addr + len > mem_.size()) std::abort();
-  return mem_.data() + addr;
+  if (addr + len > size_) std::abort();
+  return mem_.get() + addr;
 }
 
 const u8* PhysMem::raw(PhysAddr addr, size_t len) const {
-  if (addr + len > mem_.size()) std::abort();
-  return mem_.data() + addr;
+  if (addr + len > size_) std::abort();
+  return mem_.get() + addr;
 }
 
 }  // namespace kshot::machine

@@ -8,6 +8,8 @@
 //   * enclave accesses may touch their own EPC pages plus ordinary memory.
 #pragma once
 
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "common/status.hpp"
@@ -40,7 +42,7 @@ class PhysMem {
  public:
   explicit PhysMem(size_t size_bytes);
 
-  [[nodiscard]] size_t size() const { return mem_.size(); }
+  [[nodiscard]] size_t size() const { return size_; }
 
   // Data access ---------------------------------------------------------
   Status read(PhysAddr addr, MutByteSpan out, AccessMode mode) const;
@@ -73,7 +75,14 @@ class PhysMem {
   Status check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
                bool fetching) const;
 
-  Bytes mem_;
+  struct FreeDeleter {
+    void operator()(u8* p) const { std::free(p); }
+  };
+
+  // calloc'd, not value-initialized: the pages are zero on first touch, so
+  // constructing (and destroying) a 64 MB machine costs what it touches.
+  std::unique_ptr<u8[], FreeDeleter> mem_;
+  size_t size_;
   std::vector<PageAttr> attrs_;
   PhysAddr smram_base_ = 0;
   size_t smram_len_ = 0;

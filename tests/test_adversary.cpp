@@ -9,6 +9,7 @@
 #include "core/detection.hpp"
 #include "core/smm_handler.hpp"
 #include "fuzz/fuzz.hpp"
+#include "machine/mem_window.hpp"
 #include "testbed/testbed.hpp"
 
 namespace kshot::attacks {
@@ -225,6 +226,64 @@ TEST(AdversaryRegression, StaleEnvelopeReplayIsDetected) {
   EXPECT_TRUE(rep->detections.has(DetectionClass::kReplay) ||
               rep->detections.has(DetectionClass::kMemWRewrite))
       << rep->detections.to_string();
+}
+
+// A duplicated SMI at staging whose pre-SMI window flips the command word to
+// kApplyPatch runs the staged apply before the helper's own apply SMI; that
+// SMI then finds its session consumed (kNoSession). The helper used to take
+// the kNoSession for a genuine rejection and report failure, no detections,
+// with the trampoline live in kernel text. It now confirms through
+// kQueryApplied before it trusts the rejection.
+TEST(AdversaryRegression, DuplicatedApplySmiIsPreventedNotSilent) {
+  AdversarySchedule sched;
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kSmiDuplicate,
+                                          AdversaryTrigger::kOnStaged, 0, 0});
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                          AdversaryTrigger::kPreSmi,
+                                          /*param=*/1u << 8, /*value=*/2});
+  // The schedule the campaign generator emits at seed 1, item 152.
+  EXPECT_EQ(sched.encode(),
+            AdversarySchedule::generate(1 ^ (0x9E3779B97F4A7C15ull * 153))
+                .encode());
+
+  auto image = [](Testbed& t) {
+    const size_t n = t.layout().epc_base;
+    return Bytes(t.machine().mem().raw(0, n), t.machine().mem().raw(0, n) + n);
+  };
+  auto clean = boot();
+  auto clean_rep = clean->kshot().live_patch("CVE-2014-0196");
+  ASSERT_TRUE(clean_rep.is_ok() && clean_rep->success);
+  const Bytes no_attack = image(*clean);
+
+  auto t = boot();
+  const Bytes pre_patch = image(*t);
+  AsyncAdversary adv(t->machine(), t->kshot(), t->layout(), sched);
+  adv.attach();
+  auto rep = t->kshot().live_patch("CVE-2014-0196");
+  adv.detach();
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+  ASSERT_EQ(adv.actions_fired(), 2u);
+  EXPECT_TRUE(rep->success || rep->detections.any())
+      << core::smm_status_name(rep->smm_status);
+
+  // Memory outside SMRAM, the mailbox page and mem_W equals the no-attack
+  // image when the run reports success, the pre-patch image when it fails.
+  const auto& lay = t->layout();
+  const machine::MemWindow win(
+      0, lay.epc_base,
+      {{lay.smram_base, lay.smram_base + lay.smram_size},
+       {lay.mem_rw_base(), lay.mem_rw_base() + lay.mem_rw_size},
+       {lay.mem_w_base(), lay.mem_w_base() + lay.mem_w_size}});
+  auto at = win.first_difference(image(*t),
+                                 rep->success ? no_attack : pre_patch);
+  EXPECT_FALSE(at.has_value())
+      << (rep->success ? "no-attack" : "pre-patch") << " image differs at 0x"
+      << std::hex << *at;
+  if (rep->success) {
+    auto exploit = t->run_exploit();
+    ASSERT_TRUE(exploit.is_ok());
+    EXPECT_FALSE(exploit->oops);
+  }
 }
 
 // ---- Introspection repairs are loud now --------------------------------------

@@ -16,6 +16,7 @@
 #include "crypto/aead.hpp"
 #include "cve/suite.hpp"
 #include "kcc/compiler.hpp"
+#include "machine/mem_window.hpp"
 #include "patchtool/package.hpp"
 #include "patchtool/prep_cache.hpp"
 #include "testbed/testbed.hpp"
@@ -189,14 +190,13 @@ TEST(BatchSession, MidBatchFailureLeavesMemoryByteIdentical) {
   EXPECT_EQ(*st, SmmStatus::kDigestFailure);
   EXPECT_TRUE(handler.installed().empty());
 
-  const u8* cur = m.mem().raw(0, lay.mem_bytes);
-  for (size_t i = 0; i < lay.mem_bytes; ++i) {
-    if (i >= lay.smram_base && i < lay.smram_base + lay.smram_size) continue;
-    if (i >= lay.mem_rw_base() && i < lay.mem_rw_base() + lay.mem_rw_size) {
-      continue;
-    }
-    ASSERT_EQ(cur[i], snapshot[i]) << "memory differs at 0x" << std::hex << i;
-  }
+  const machine::MemWindow outside_smm_scratch(
+      0, lay.mem_bytes,
+      {{lay.smram_base, lay.smram_base + lay.smram_size},
+       {lay.mem_rw_base(), lay.mem_rw_base() + lay.mem_rw_size}});
+  auto at = outside_smm_scratch.first_difference(
+      ByteSpan(m.mem().raw(0, lay.mem_bytes), lay.mem_bytes), snapshot);
+  EXPECT_FALSE(at.has_value()) << "memory differs at 0x" << std::hex << *at;
 }
 
 TEST(BatchSession, RollbackPeelsUnitsInReverseOrder) {

@@ -3,8 +3,13 @@
 // virtual clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "isa/assembler.hpp"
 #include "machine/machine.hpp"
+#include "machine/mem_window.hpp"
 
 namespace kshot::machine {
 namespace {
@@ -23,6 +28,29 @@ TEST(PhysMem, NormalReadWrite) {
   auto r = m.mem().read_bytes(0x1000, 4, AccessMode::normal());
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(*r, data);
+}
+
+TEST(PhysMem, FreshMemoryReadsZeroThroughEveryAccessor) {
+  // Storage is lazily zeroed (calloc), so nothing is written at
+  // construction; every page must still read as zero. The odd size leaves a
+  // partial last page.
+  for (size_t size : {size_t{kPageSize}, size_t{3 * kPageSize + 17},
+                      size_t{8} << 20}) {
+    PhysMem mem(size);
+    ASSERT_EQ(mem.size(), size);
+    Bytes out(size, 0xA5);
+    ASSERT_TRUE(mem.read(0, MutByteSpan(out), AccessMode::normal()).is_ok());
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](u8 b) { return b == 0; }))
+        << size;
+    std::fill(out.begin(), out.end(), 0x5A);
+    ASSERT_TRUE(
+        mem.fetch(0, size, MutByteSpan(out), AccessMode::normal()).is_ok());
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](u8 b) { return b == 0; }))
+        << size;
+    const u8* raw = static_cast<const PhysMem&>(mem).raw(0, size);
+    EXPECT_TRUE(std::all_of(raw, raw + size, [](u8 b) { return b == 0; }))
+        << size;
+  }
 }
 
 TEST(PhysMem, OutOfRangeRejected) {
@@ -441,6 +469,107 @@ TEST(SmmRendezvous, JitterIsSeedDeterministic) {
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));  // jitter stream actually depends on the seed
+}
+
+// ---- MemWindow: the range primitive behind the full-memory oracles -------
+
+/// Per-byte reference: the window is [lo, hi) minus every exclusion.
+bool naive_excluded(const std::vector<MemWindow::Range>& ex, u64 i) {
+  for (const auto& r : ex) {
+    if (i >= r.begin && i < r.end) return true;
+  }
+  return false;
+}
+
+TEST(MemWindow, EdgeWindowsAndExclusions) {
+  using R = MemWindow::Range;
+  auto ranges = [](const MemWindow& w) {
+    std::vector<std::pair<u64, u64>> out;
+    for (const auto& r : w.ranges()) out.emplace_back(r.begin, r.end);
+    return out;
+  };
+  using V = std::vector<std::pair<u64, u64>>;
+  EXPECT_EQ(ranges(MemWindow(10, 10)), V{});
+  EXPECT_EQ(ranges(MemWindow(20, 10)), V{});
+  EXPECT_EQ(ranges(MemWindow(0, 100)), (V{{0, 100}}));
+  // Adjacent and overlapping exclusions merge; unsorted input is fine.
+  EXPECT_EQ(ranges(MemWindow(0, 100, {R{30, 40}, R{10, 20}, R{20, 30},
+                                      R{35, 50}})),
+            (V{{0, 10}, {50, 100}}));
+  // Out-of-bounds, inverted and empty exclusions.
+  EXPECT_EQ(ranges(MemWindow(10, 100, {R{0, 15}, R{90, 200}, R{300, 400},
+                                       R{60, 50}, R{70, 70}})),
+            (V{{15, 90}}));
+  EXPECT_EQ(ranges(MemWindow(10, 100, {R{0, 1000}})), V{});
+}
+
+TEST(MemWindow, MatchesPerByteReferenceOnRandomExclusionSets) {
+  constexpr size_t kImage = 4096;
+  Rng rng(0x3E3);
+  for (int iter = 0; iter < 400; ++iter) {
+    u64 lo = rng.next_below(kImage);
+    u64 hi = rng.next_below(5) == 0 ? lo : rng.next_below(kImage + 1);
+    std::vector<MemWindow::Range> ex;
+    size_t nex = rng.next_below(7);
+    for (size_t k = 0; k < nex; ++k) {
+      // Begins and ends anywhere, including past the image and inverted.
+      u64 b = rng.next_below(kImage + 512);
+      u64 e = rng.next_below(4) == 0 ? b + rng.next_below(3)  // adjacent/empty
+                                     : rng.next_below(kImage + 512);
+      ex.push_back({b, e});
+      if (rng.next_below(3) == 0) ex.push_back({e, e + rng.next_below(64)});
+    }
+    MemWindow w(lo, hi, ex);
+
+    Bytes cur = rng.next_bytes(kImage);
+    Bytes expected = cur;
+    size_t nflip = rng.next_below(4);
+    for (size_t k = 0; k < nflip; ++k) {
+      expected[rng.next_below(kImage)] ^= static_cast<u8>(1 + rng.next_below(255));
+    }
+
+    std::optional<u64> want;
+    Bytes concat;
+    for (u64 i = lo; i < hi; ++i) {
+      if (naive_excluded(ex, i)) continue;
+      concat.push_back(cur[i]);
+      if (!want && cur[i] != expected[i]) want = i;
+    }
+    EXPECT_EQ(w.first_difference(cur, expected), want) << "iter " << iter;
+    EXPECT_FALSE(w.first_difference(cur, cur).has_value());
+
+    crypto::Sha256 h;
+    w.hash_into(h, cur);
+    EXPECT_EQ(h.finish(), crypto::sha256(concat)) << "iter " << iter;
+
+    // The ranges are sorted, disjoint and non-empty.
+    u64 prev_end = 0;
+    for (const auto& r : w.ranges()) {
+      EXPECT_LT(r.begin, r.end);
+      EXPECT_LE(prev_end, r.begin);
+      prev_end = r.end;
+    }
+  }
+}
+
+TEST(MemWindow, HashContinuesTheCallersStream) {
+  // A digest prefix, the window's ranges and a suffix fed to one Sha256
+  // equal the one-shot hash of the three concatenated.
+  Rng rng(7);
+  Bytes image = rng.next_bytes(8192);
+  MemWindow w(100, 8000, {{1000, 2000}, {4096, 4097}});
+  Bytes prefix = {1, 2, 3}, suffix = {9, 8};
+  Bytes all = prefix;
+  for (const auto& r : w.ranges()) {
+    all.insert(all.end(), image.begin() + static_cast<std::ptrdiff_t>(r.begin),
+               image.begin() + static_cast<std::ptrdiff_t>(r.end));
+  }
+  all.insert(all.end(), suffix.begin(), suffix.end());
+  crypto::Sha256 h;
+  h.update(prefix);
+  w.hash_into(h, image);
+  h.update(suffix);
+  EXPECT_EQ(h.finish(), crypto::sha256(all));
 }
 
 }  // namespace

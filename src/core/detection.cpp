@@ -14,6 +14,7 @@ const char* detection_class_name(DetectionClass c) {
     case DetectionClass::kSmiSuppression: return "smi-suppression";
     case DetectionClass::kChunkReorder: return "chunk-reorder";
     case DetectionClass::kIntrospectionRepair: return "introspection-repair";
+    case DetectionClass::kRollbackForgery: return "rollback-forgery";
   }
   return "?";
 }

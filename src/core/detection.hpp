@@ -25,6 +25,7 @@ enum class DetectionClass : u8 {
   kSmiSuppression,      // commanded SMI never ran (stale cmd_seq echo)
   kChunkReorder,        // stream chunk index/nonce out of order
   kIntrospectionRepair, // introspection found and repaired tampering
+  kRollbackForgery,     // kRollback/kRevertPatch without the unit's token
 };
 
 const char* detection_class_name(DetectionClass c);

@@ -149,12 +149,26 @@ Result<SmmStatus> Kshot::trigger_and_status(SmmCommand cmd) {
   Mailbox mbox(m.mem(), kernel_.layout().mem_rw_base(),
                machine::AccessMode::normal());
   u64 seq = ++cmd_seq_;
+  auto hb_before = mbox.read_heartbeat();
   KSHOT_RETURN_IF_ERROR(mbox.write_cmd_seq(seq));
   KSHOT_RETURN_IF_ERROR(mbox.write_command(cmd));
   emit_instant("smi_raised",
                {{"cmd", std::to_string(static_cast<int>(cmd))},
                 {"seq", std::to_string(seq)}});
   m.trigger_smi();
+  // The handler bumps the heartbeat once per SMI it runs. Our SMI accounts
+  // for at most one bump (none if it was suppressed); anything more since
+  // our previous command was an SMI we never issued, which may have
+  // executed whatever command word it found (a duplicated SMI under a
+  // flipped command).
+  auto hb_after = mbox.read_heartbeat();
+  if (hb_before && hb_after) {
+    if ((heartbeat_mark_ && *hb_before != *heartbeat_mark_) ||
+        *hb_after > *hb_before + 1) {
+      foreign_smis_ = true;
+    }
+    heartbeat_mark_ = *hb_after;
+  }
   // The handler echoes the sequence number on entry. A stale echo means the
   // SMI never ran — whatever sits in the status word is from an *earlier*
   // command, and trusting it would let a rootkit that gates SMIs spoof
@@ -268,15 +282,18 @@ Status Kshot::apply_with_retry(
     const std::function<bool()>& applied_probe) {
   Backoff backoff(retry_, retry_rng_);
   bool outcome_unknown = false;
+  heartbeat_mark_.reset();
+  foreign_smis_ = false;
+  auto succeed = [&]() {
+    report.smm_status = SmmStatus::kOk;
+    report.success = true;
+    return enclave_->commit_applied();
+  };
   for (u32 attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
     ++report.resilience.apply_attempts;
     metrics().counter("kshot.apply_attempts").inc();
     auto res = attempt_once();
-    if (res && *res == SmmStatus::kOk) {
-      report.smm_status = SmmStatus::kOk;
-      report.success = true;
-      return Status::ok();
-    }
+    if (res && *res == SmmStatus::kOk) return succeed();
 
     // A transport failure leaves the attempt's outcome unknown: an
     // interposer that garbled the echo (or swallowed the reply) may have
@@ -291,14 +308,17 @@ Status Kshot::apply_with_retry(
     // kNoSession is the same uncertainty seen from the handler's side: this
     // attempt opened its session itself (echo-checked), so an SMI the helper
     // never issued consumed it — possibly by running the very apply staged
-    // for it (a duplicated SMI under a flipped command word).
-    if (!res || *res == SmmStatus::kNoSession) outcome_unknown = true;
+    // for it (a duplicated SMI under a flipped command word). Any other
+    // rejection is just as ambiguous once such an SMI has run: it may have
+    // applied the package and then re-keyed the session, so the helper's
+    // own apply fails authentication instead.
+    if (!res || *res == SmmStatus::kNoSession || foreign_smis_) {
+      outcome_unknown = true;
+    }
     if (outcome_unknown && applied_probe && applied_probe()) {
       emit_instant("apply_confirmed_by_query",
                    {{"attempt", std::to_string(attempt)}});
-      report.smm_status = SmmStatus::kOk;
-      report.success = true;
-      return Status::ok();
+      return succeed();
     }
 
     // Discard the failed attempt's session + partial stream so the next
@@ -705,9 +725,17 @@ Result<PatchReport> Kshot::rollback() {
     return Status{Errc::kFailedPrecondition, "install() first"};
   }
   auto& m = kernel_.machine();
+  Mailbox mbox(m.mem(), kernel_.layout().mem_rw_base(),
+               machine::AccessMode::normal());
+  auto token = enclave_->rollback_token("");
+  if (!token) return token.status();
+  KSHOT_RETURN_IF_ERROR(mbox.write_rollback_token(*token));
   const DowntimeMark dt0 = mark_downtime(m);
   auto status = trigger_and_status(SmmCommand::kRollback);
   if (!status) return status.status();
+  if (*status == SmmStatus::kOk) {
+    KSHOT_RETURN_IF_ERROR(enclave_->retire_applied(""));
+  }
 
   PatchReport report;
   report.id = "(rollback)";
@@ -726,11 +754,17 @@ Result<PatchReport> Kshot::revert_patch(const std::string& patch_id) {
   auto& m = kernel_.machine();
   Mailbox mbox(m.mem(), kernel_.layout().mem_rw_base(),
                machine::AccessMode::normal());
+  auto token = enclave_->rollback_token(patch_id);
+  if (!token) return token.status();
   KSHOT_RETURN_IF_ERROR(
       mbox.write_revert_target(crypto::sdbm(to_bytes(patch_id))));
+  KSHOT_RETURN_IF_ERROR(mbox.write_rollback_token(*token));
   const DowntimeMark dt0 = mark_downtime(m);
   auto status = trigger_and_status(SmmCommand::kRevertPatch);
   if (!status) return status.status();
+  if (*status == SmmStatus::kOk) {
+    KSHOT_RETURN_IF_ERROR(enclave_->retire_applied(patch_id));
+  }
 
   PatchReport report;
   report.id = "(revert " + patch_id + ")";

@@ -179,7 +179,8 @@ class Kshot {
   Result<PatchReport> live_patch_chunked(const std::string& patch_id,
                                          u32 chunk_bytes);
 
-  /// Rolls back the most recent patch (remote rollback instruction, §V-C).
+  /// Rolls back the most recent patch (remote rollback instruction, §V-C),
+  /// presenting the unit's rollback token from the enclave.
   Result<PatchReport> rollback();
 
   /// Out-of-order revert of the applied set `patch_id`, wherever it sits in
@@ -297,7 +298,11 @@ class Kshot {
   /// SMI may have run and applied before the channel broke, and blindly
   /// re-applying would collide with the already-installed windows. When
   /// `applied_probe` is set it is consulted (via kQueryApplied) before any
-  /// retry; a positive probe resolves the attempt as success.
+  /// retry; a positive probe resolves the attempt as success. The same
+  /// holds once an SMI the helper did not issue has run during the call:
+  /// it may have applied the staged package under a flipped command word.
+  /// A success moves the sealed packages' rollback tokens onto the
+  /// enclave's ledger.
   Status apply_with_retry(
       const std::function<Result<SmmStatus>()>& attempt_once,
       PatchReport& report,
@@ -345,6 +350,12 @@ class Kshot {
   PhaseObserver async_interposer_;
   DetectionReport helper_detections_;
   u64 cmd_seq_ = 0;           // helper-side SMI command sequence
+  /// Mailbox heartbeat after the helper's last commanded SMI; a different
+  /// value at the next one means SMIs the helper never issued ran between.
+  std::optional<u64> heartbeat_mark_;
+  /// Set when trigger_and_status sees such an SMI; apply_with_retry clears
+  /// it per call and treats any later rejection as an unknown outcome.
+  bool foreign_smis_ = false;
   u64 staging_attempts_ = 0;  // helper-side: sealed packages we tried to pass
 };
 

@@ -170,6 +170,27 @@ Status KshotEnclave::set_mem_x_map(const std::vector<FreeExtent>& free_extents) 
   return r.is_ok() ? Status::ok() : r.status();
 }
 
+Status KshotEnclave::commit_applied() {
+  auto r = ecall(kEcallCommitApplied, {});
+  return r.is_ok() ? Status::ok() : r.status();
+}
+
+Result<RollbackToken> KshotEnclave::rollback_token(const std::string& id) {
+  auto r = ecall(kEcallRollbackToken, to_bytes(id));
+  if (!r) return r.status();
+  RollbackToken t{};
+  if (r->size() != t.size()) {
+    return Status{Errc::kInternal, "malformed rollback token"};
+  }
+  std::memcpy(t.data(), r->data(), t.size());
+  return t;
+}
+
+Status KshotEnclave::retire_applied(const std::string& id) {
+  auto r = ecall(kEcallRetireApplied, to_bytes(id));
+  return r.is_ok() ? Status::ok() : r.status();
+}
+
 void KshotEnclave::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     c_prep_hits_ = nullptr;
@@ -198,6 +219,9 @@ Result<Bytes> KshotEnclave::handle_ecall(int fn, ByteSpan input) {
     case kEcallSealBatch: name = "seal_batch"; break;
     case kEcallSetLifecycle: name = "set_lifecycle"; break;
     case kEcallSetMemXMap: name = "set_mem_x_map"; break;
+    case kEcallCommitApplied: name = "commit_applied"; break;
+    case kEcallRollbackToken: name = "rollback_token"; break;
+    case kEcallRetireApplied: name = "retire_applied"; break;
   }
   auto t0 = std::chrono::steady_clock::now();
   u64 c0 = vclock_ ? vclock_() : 0;
@@ -234,6 +258,7 @@ Result<Bytes> KshotEnclave::dispatch_ecall(int fn, ByteSpan input) {
       return do_get_chunk(input);
     case kEcallBatchReset:
       batch_pkgs_.clear();
+      batch_units_.clear();
       return Bytes{};
     case kEcallBatchAdd:
       return do_batch_add();
@@ -243,6 +268,20 @@ Result<Bytes> KshotEnclave::dispatch_ecall(int fn, ByteSpan input) {
       return do_set_lifecycle(input);
     case kEcallSetMemXMap:
       return do_set_mem_x_map(input);
+    case kEcallCommitApplied:
+      return do_commit_applied();
+    case kEcallRollbackToken: {
+      size_t i = ledger_find(input);
+      if (i == ledger_.size()) return Bytes(RollbackToken{}.size(), 0);
+      return Bytes(ledger_[i].token.begin(), ledger_[i].token.end());
+    }
+    case kEcallRetireApplied: {
+      size_t i = ledger_find(input);
+      if (i != ledger_.size()) {
+        ledger_.erase(ledger_.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+      return Bytes{};
+    }
     default:
       return Status{Errc::kInvalidArgument, "unknown ecall"};
   }
@@ -449,6 +488,7 @@ Result<Bytes> KshotEnclave::do_preprocess() {
   Bytes processed = patchtool::serialize_patchset(set, op);
   KSHOT_RETURN_IF_ERROR(store_package(kProcessedRegion, processed));
   processed_size_ = processed.size();
+  processed_unit_ = UnitInfo{set.id, set.supersedes, {}};
 
   PackageStats stats;
   stats.functions = static_cast<u32>(set.patches.size());
@@ -458,7 +498,8 @@ Result<Bytes> KshotEnclave::do_preprocess() {
 }
 
 Result<Bytes> KshotEnclave::seal_blob_for(ByteSpan smm_pub_bytes,
-                                          const Bytes& plain) {
+                                          const Bytes& plain,
+                                          std::vector<UnitInfo> units) {
   if (smm_pub_bytes.size() != 32) {
     return Status{Errc::kInvalidArgument, "expected 32-byte SMM public key"};
   }
@@ -473,6 +514,11 @@ Result<Bytes> KshotEnclave::seal_blob_for(ByteSpan smm_pub_bytes,
       ByteSpan(shared.data(), shared.size()), "sgx-smm");
   crypto::Nonce96 nonce{};
   rng_.fill(MutByteSpan(nonce.data(), nonce.size()));
+  for (size_t i = 0; i < units.size(); ++i) {
+    units[i].token = core::rollback_token(
+        ByteSpan(shared.data(), shared.size()), static_cast<u32>(i));
+  }
+  sealed_units_ = std::move(units);
 
   // Single-buffer build: pub || nonce || len || ciphertext || mac, with the
   // plaintext placed once and encrypted in place (no intermediate SealedBox
@@ -499,7 +545,7 @@ Result<Bytes> KshotEnclave::do_seal(ByteSpan input) {
   }
   auto processed = load_package(kProcessedRegion);
   if (!processed) return processed.status();
-  return seal_blob_for(input, *processed);
+  return seal_blob_for(input, *processed, {processed_unit_});
 }
 
 Result<Bytes> KshotEnclave::do_batch_add() {
@@ -512,6 +558,7 @@ Result<Bytes> KshotEnclave::do_batch_add() {
   auto processed = load_package(kProcessedRegion);
   if (!processed) return processed.status();
   batch_pkgs_.push_back(std::move(*processed));
+  batch_units_.push_back(processed_unit_);
   return Bytes{};
 }
 
@@ -524,7 +571,30 @@ Result<Bytes> KshotEnclave::do_seal_batch(ByteSpan input) {
     return Status{Errc::kResourceExhausted,
                   "batch envelope exceeds mem_W"};
   }
-  return seal_blob_for(input, envelope);
+  return seal_blob_for(input, envelope, batch_units_);
+}
+
+Result<Bytes> KshotEnclave::do_commit_applied() {
+  for (UnitInfo& u : sealed_units_) {
+    for (const std::string& gone : u.supersedes) {
+      size_t i = ledger_find(to_bytes(gone));
+      if (i != ledger_.size()) {
+        ledger_.erase(ledger_.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    }
+    ledger_.push_back(std::move(u));
+  }
+  sealed_units_.clear();
+  return Bytes{};
+}
+
+size_t KshotEnclave::ledger_find(ByteSpan id) const {
+  if (id.empty()) return ledger_.empty() ? 0 : ledger_.size() - 1;
+  const std::string want(id.begin(), id.end());
+  for (size_t i = 0; i < ledger_.size(); ++i) {
+    if (ledger_[i].id == want) return i;
+  }
+  return ledger_.size();
 }
 
 Result<Bytes> KshotEnclave::do_set_lifecycle(ByteSpan input) {
@@ -620,6 +690,9 @@ Result<Bytes> KshotEnclave::do_begin_seal_chunked(ByteSpan input) {
   crypto::X25519Key shared = crypto::dh_shared(session.private_key, smm_pub);
   chunk_key_ = crypto::derive_key(ByteSpan(shared.data(), shared.size()),
                                   "sgx-smm-stream");
+  sealed_units_ = {processed_unit_};
+  sealed_units_[0].token =
+      core::rollback_token(ByteSpan(shared.data(), shared.size()), 0);
   chunk_plain_bytes_ = *max_plain - 8;  // room for the {index,total} header
   chunk_count_ = static_cast<u32>(
       (processed_size_ + chunk_plain_bytes_ - 1) / chunk_plain_bytes_);

@@ -48,6 +48,10 @@ enum EnclaveCall : int {
                                // free-extent map (slot reclamation): the
                                // allocator first-fits into the gaps revert
                                // and supersede left behind
+  kEcallCommitApplied = 13,    // the last sealed package(s) applied: move
+                               // their rollback tokens onto the ledger
+  kEcallRollbackToken = 14,    // release one applied unit's rollback token
+  kEcallRetireApplied = 15,    // that unit was rolled back or reverted
 };
 
 /// Geometry of the reserved region, passed to the enclave at initialization.
@@ -136,6 +140,21 @@ class KshotEnclave final : public sgx::Enclave {
   /// Without a map the legacy cursor keeps every historical layout stable.
   Status set_mem_x_map(const std::vector<FreeExtent>& free_extents);
 
+  // Rollback authority. Every seal derives, next to the session key, one
+  // RollbackToken per sealed package from the same DH shared secret SMM
+  // uses, so SMM can demand it for kRollback/kRevertPatch without another
+  // exchange. The tokens of applied units stay in the enclave (conceptually
+  // EPC-resident) on a ledger that mirrors SMM's applied stack; the helper
+  // only ever holds the one it is about to present.
+  /// The packages of the last seal were applied: their tokens join the
+  /// ledger in batch order, and the units they supersede leave it.
+  Status commit_applied();
+  /// Token of the applied unit `id` (empty: the newest), or all zeros when
+  /// the ledger holds no such unit.
+  Result<RollbackToken> rollback_token(const std::string& id);
+  /// Drops unit `id` (empty: the newest) after SMM removed it.
+  Status retire_applied(const std::string& id);
+
   /// Mirrors the preprocessing-cache counters into `metrics` as
   /// "enclave.prep_hits"/"enclave.prep_misses". Null disables mirroring.
   void set_metrics(obs::MetricsRegistry* metrics);
@@ -155,6 +174,13 @@ class KshotEnclave final : public sgx::Enclave {
   Result<Bytes> handle_ecall(int fn, ByteSpan input) override;
 
  private:
+  /// One package as the rollback ledger sees it.
+  struct UnitInfo {
+    std::string id;
+    std::vector<std::string> supersedes;
+    RollbackToken token{};
+  };
+
   Result<Bytes> dispatch_ecall(int fn, ByteSpan input);
   Result<Bytes> do_begin_fetch(ByteSpan input);
   Result<Bytes> do_finish_fetch(ByteSpan input);
@@ -166,9 +192,15 @@ class KshotEnclave final : public sgx::Enclave {
   Result<Bytes> do_seal_batch(ByteSpan input);
   Result<Bytes> do_set_lifecycle(ByteSpan input);
   Result<Bytes> do_set_mem_x_map(ByteSpan input);
+  Result<Bytes> do_commit_applied();
+  /// Ledger position of unit `id` (empty: the newest), or ledger_.size().
+  [[nodiscard]] size_t ledger_find(ByteSpan id) const;
   /// Shared seal leg: fresh DH against `smm_pub`, "sgx-smm" key, random
-  /// nonce; returns enclave_pub(32) || sealed wire.
-  Result<Bytes> seal_blob_for(ByteSpan smm_pub_bytes, const Bytes& plain);
+  /// nonce; returns enclave_pub(32) || sealed wire. `units` are the
+  /// packages inside `plain`, in batch order; they become sealed_units_
+  /// with their rollback tokens.
+  Result<Bytes> seal_blob_for(ByteSpan smm_pub_bytes, const Bytes& plain,
+                              std::vector<UnitInfo> units);
 
   // EPC-backed package storage.
   Status store_package(u64 region, ByteSpan data);
@@ -205,6 +237,15 @@ class KshotEnclave final : public sgx::Enclave {
 
   // Batch accumulator (conceptually EPC-resident, like server_session_).
   std::vector<Bytes> batch_pkgs_;
+
+  // Rollback ledger state (EPC-resident). processed_unit_ describes the
+  // current processed package, batch_units_ the accumulated batch,
+  // sealed_units_ the packages of the last seal (with their tokens), and
+  // ledger_ the applied units in SMM's stack order.
+  UnitInfo processed_unit_;
+  std::vector<UnitInfo> batch_units_;
+  std::vector<UnitInfo> sealed_units_;
+  std::vector<UnitInfo> ledger_;
 
   // Content-addressed cache of reloc-retargeted function bodies: keyed over
   // (original code, layout address, resolved targets), so a repeated

@@ -1,5 +1,10 @@
 #include "core/mailbox.hpp"
 
+#include <cstring>
+#include <string>
+
+#include "crypto/aead.hpp"
+
 namespace kshot::core {
 
 const char* smm_status_name(SmmStatus s) {
@@ -16,6 +21,7 @@ const char* smm_status_name(SmmStatus s) {
     case SmmStatus::kChunkOutOfOrder: return "chunk out of order";
     case SmmStatus::kMissingDependency: return "missing dependency";
     case SmmStatus::kRevertBlocked: return "revert blocked by dependent";
+    case SmmStatus::kRollbackDenied: return "rollback denied";
   }
   return "?";
 }
@@ -150,6 +156,27 @@ Result<u64> Mailbox::read_query_size() const {
   return mem_.read_u64(base_ + MailboxLayout::kQuerySize, mode_);
 }
 
+RollbackToken rollback_token(ByteSpan shared_secret, u32 unit) {
+  crypto::Key256 k = crypto::derive_key(
+      shared_secret, "sgx-smm-rollback:" + std::to_string(unit));
+  RollbackToken t;
+  std::memcpy(t.data(), k.data(), t.size());
+  return t;
+}
+
+Status Mailbox::write_rollback_token(const RollbackToken& t) {
+  return mem_.write(base_ + MailboxLayout::kRollbackToken,
+                    ByteSpan(t.data(), t.size()), mode_);
+}
+
+Result<RollbackToken> Mailbox::read_rollback_token() const {
+  RollbackToken t{};
+  Status st = mem_.read(base_ + MailboxLayout::kRollbackToken,
+                        MutByteSpan(t.data(), t.size()), mode_);
+  if (!st.is_ok()) return st;
+  return t;
+}
+
 Result<MailboxSnapshot> Mailbox::snapshot() const {
   MailboxSnapshot s;
   auto raw = mem_.read_u64(base_ + MailboxLayout::kCommand, mode_);
@@ -187,6 +214,9 @@ Result<MailboxSnapshot> Mailbox::snapshot() const {
   auto rt = read_revert_target();
   if (!rt) return rt.status();
   s.revert_target = *rt;
+  auto token = read_rollback_token();
+  if (!token) return token.status();
+  s.rollback_token = *token;
   return s;
 }
 

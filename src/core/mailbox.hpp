@@ -6,6 +6,8 @@
 // causes a detected integrity failure.
 #pragma once
 
+#include <array>
+
 #include "common/status.hpp"
 #include "crypto/x25519.hpp"
 #include "machine/phys_mem.hpp"
@@ -17,7 +19,8 @@ enum class SmmCommand : u64 {
   kIdle = 0,
   kBeginSession = 1,  // generate a fresh DH key pair, publish the public key
   kApplyPatch = 2,    // decrypt/verify/apply the package staged in mem_W
-  kRollback = 3,      // restore original bytes of the last applied patch
+  kRollback = 3,      // restore original bytes of the last applied patch;
+                      // refused unless kRollbackToken holds its token
   kIntrospect = 4,    // verify installed patches + reserved-region attrs
   kStageChunk = 5,    // streaming mode: accept one sealed chunk from mem_W;
                       // the final chunk triggers verify + apply
@@ -33,7 +36,8 @@ enum class SmmCommand : u64 {
                       // session needed — the blob carries no secrets
   kRevertPatch = 9,   // out-of-order revert of the applied unit whose id
                       // hash is in kRevertTarget, refused while another
-                      // applied unit depends on it (kRevertBlocked)
+                      // applied unit depends on it (kRevertBlocked) and
+                      // unless kRollbackToken holds its token
 };
 
 /// SMM status codes (mirrored into PatchReport).
@@ -52,10 +56,23 @@ enum class SmmStatus : u64 {
                             // (and not provided by the sets it supersedes)
   kRevertBlocked = 11,  // another applied unit still depends on the revert
                         // target; revert it (or a superseding unit) first
+  kRollbackDenied = 12, // kRollback/kRevertPatch without the target unit's
+                        // rollback token: refused, nothing written
 };
 
 /// Human-readable name of an SMM status code (diagnostics and reports).
 const char* smm_status_name(SmmStatus s);
+
+/// The authority to roll back one applied unit. The enclave and SMM both
+/// derive it from the DH shared secret of the session that applied the
+/// unit, so presenting it costs no SMI and no X25519 operation; SMM keeps
+/// it with the unit and refuses kRollback/kRevertPatch without it. A stray
+/// SMI from a compromised kernel cannot know it.
+using RollbackToken = std::array<u8, 32>;
+
+/// Token of the `unit`-th package (batch order, 0 for a single package) of
+/// the apply session whose shared secret is `shared_secret`.
+RollbackToken rollback_token(ByteSpan shared_secret, u32 unit);
 
 /// Leading magic of the kQueryApplied inventory blob ("KSHQ", little-endian).
 inline constexpr u32 kQueryMagic = 0x51485348;
@@ -89,6 +106,9 @@ struct MailboxLayout {
   static constexpr u64 kQuerySize = 0x90;      // u64: bytes of the "KSHQ"
                                                // blob kQueryApplied wrote at
                                                // kQueryBlob
+  static constexpr u64 kRollbackToken = 0x98;  // 32 bytes: the target unit's
+                                               // RollbackToken, presented
+                                               // with kRollback/kRevertPatch
   /// kQueryApplied writes its inventory blob here (mem_RW is the only
   /// reserved region the kernel may read back).
   static constexpr u64 kQueryBlob = 0x100;
@@ -113,6 +133,7 @@ struct MailboxSnapshot {
   u64 cmd_seq_echo = 0;
   u64 session_epoch = 0;
   u64 revert_target = 0;
+  RollbackToken rollback_token{};
 
   [[nodiscard]] bool command_in_range() const {
     return raw_command <= static_cast<u64>(SmmCommand::kRevertPatch);
@@ -151,6 +172,8 @@ class Mailbox {
   Result<u64> read_revert_target() const;
   Status write_query_size(u64 n);
   Result<u64> read_query_size() const;
+  Status write_rollback_token(const RollbackToken& t);
+  Result<RollbackToken> read_rollback_token() const;
 
   /// Single-fetch read of every field (see MailboxSnapshot).
   Result<MailboxSnapshot> snapshot() const;

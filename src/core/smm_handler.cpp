@@ -185,7 +185,7 @@ void SmmPatchHandler::on_smi(machine::Machine& m) {
           break;
         case SmmCommand::kRollback:
           cmd_name = "rollback";
-          mbox.write_status(rollback(m));
+          mbox.write_status(rollback(m, &snap.rollback_token));
           break;
         case SmmCommand::kRevertPatch:
           cmd_name = "revert_patch";
@@ -229,6 +229,7 @@ void SmmPatchHandler::on_smi(machine::Machine& m) {
 
 void SmmPatchHandler::reset_stream() {
   stream_key_.reset();
+  stream_shared_ = {};
   stream_buffer_.clear();
   stream_expected_ = 0;
   stream_total_ = 0;
@@ -296,7 +297,7 @@ bool SmmPatchHandler::bounds_ok(const patchtool::FunctionPatchView& p) const {
 SmmStatus SmmPatchHandler::decrypt_staged(
     machine::Machine& m, Mailbox& mbox, const MailboxSnapshot& snap,
     std::shared_ptr<const Bytes>& out_retain, ByteSpan& out_plain,
-    size_t& out_staged) {
+    size_t& out_staged, crypto::X25519Key& out_shared) {
   const auto mode = machine::AccessMode::smm();
   const auto& cost = m.cost_model();
 
@@ -434,6 +435,7 @@ SmmStatus SmmPatchHandler::decrypt_staged(
     session_keys_.reset();
   }
   out_staged = staged;
+  out_shared = shared;
   return SmmStatus::kOk;
 }
 
@@ -442,9 +444,11 @@ SmmStatus SmmPatchHandler::apply_patch(machine::Machine& m, Mailbox& mbox,
   std::shared_ptr<const Bytes> retain;
   ByteSpan package;
   size_t staged = 0;
-  SmmStatus st = decrypt_staged(m, mbox, snap, retain, package, staged);
+  crypto::X25519Key shared{};
+  SmmStatus st =
+      decrypt_staged(m, mbox, snap, retain, package, staged, shared);
   if (st != SmmStatus::kOk) return st;
-  return verify_and_apply(m, retain, package, staged);
+  return verify_and_apply(m, retain, package, staged, shared);
 }
 
 SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
@@ -454,7 +458,9 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
   std::shared_ptr<const Bytes> retain;
   ByteSpan envelope;
   size_t staged = 0;
-  SmmStatus st = decrypt_staged(m, mbox, snap, retain, envelope, staged);
+  crypto::X25519Key shared{};
+  SmmStatus st =
+      decrypt_staged(m, mbox, snap, retain, envelope, staged, shared);
   if (st != SmmStatus::kOk) return st;
 
   arena_.reset();
@@ -580,8 +586,11 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
   size_t total_code = 0;
   u32 total_functions = 0;
   const u32 aps = m.cpus() > 1 ? m.cpus() - 1 : 0;
+  const ByteSpan secret(shared.data(), shared.size());
   for (const auto& set : sets) {
-    SmmStatus s = apply_parsed(m, set, legacy_copy_parser_ ? nullptr : retain);
+    SmmStatus s =
+        apply_parsed(m, set, legacy_copy_parser_ ? nullptr : retain,
+                     rollback_token(secret, static_cast<u32>(applied_units)));
     if (s != SmmStatus::kOk) {
       while (applied_units > 0) {
         restore_top_unit(m);
@@ -621,7 +630,7 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
 
 SmmStatus SmmPatchHandler::verify_and_apply(
     machine::Machine& m, const std::shared_ptr<const Bytes>& retain,
-    ByteSpan package, size_t staged_bytes) {
+    ByteSpan package, size_t staged_bytes, const crypto::X25519Key& shared) {
   const auto& cost = m.cost_model();
 
   // ---- Patch verification (Table III "Patch Verification": SHA-2 digest
@@ -694,7 +703,9 @@ SmmStatus SmmPatchHandler::verify_and_apply(
   if (any_rollback) {
     st = rollback_parsed(m, set);
   } else {
-    st = apply_parsed(m, set, legacy_copy_parser_ ? nullptr : retain);
+    st = apply_parsed(m, set, legacy_copy_parser_ ? nullptr : retain,
+                      rollback_token(ByteSpan(shared.data(), shared.size()),
+                                     0));
     // Fine-grained commit: once the text writes land, the rendezvoused APs
     // have nothing left to wait for — they resume while the BSP finishes
     // the bookkeeping tail.
@@ -729,6 +740,7 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
         crypto::dh_shared(session_keys_->private_key, snap.enclave_pub);
     stream_key_ = crypto::derive_key(ByteSpan(shared.data(), shared.size()),
                                      "sgx-smm-stream");
+    stream_shared_ = shared;
     session_keys_.reset();
     stream_expected_ = 0;
     stream_total_ = 0;
@@ -830,9 +842,10 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
   // buffer itself becomes the retained envelope — no copy.
   auto package = std::make_shared<Bytes>(std::move(stream_buffer_));
   size_t staged_total = package->size();
+  const crypto::X25519Key shared = stream_shared_;
   abort_stream();
   ByteSpan span(package->data(), package->size());
-  return verify_and_apply(m, std::move(package), span, staged_total);
+  return verify_and_apply(m, std::move(package), span, staged_total, shared);
 }
 
 void SmmPatchHandler::collect_windows(const patchtool::FunctionPatchView& p,
@@ -930,7 +943,7 @@ SmmStatus SmmPatchHandler::validate_set(
 
 SmmStatus SmmPatchHandler::apply_parsed(
     machine::Machine& m, const patchtool::PatchSetView& set,
-    const std::shared_ptr<const Bytes>& retain) {
+    const std::shared_ptr<const Bytes>& retain, const RollbackToken& token) {
   const auto mode = machine::AccessMode::smm();
   auto sv_bytes = [](std::string_view s) {
     return ByteSpan(reinterpret_cast<const u8*>(s.data()), s.size());
@@ -1175,6 +1188,7 @@ SmmStatus SmmPatchHandler::apply_parsed(
   for (const auto& dep : set.depends) {
     unit.depends.push_back(crypto::sdbm(sv_bytes(dep)));
   }
+  unit.rollback_token = token;
   if (!unit.members.empty() || !superseded.empty()) {
     unit.seq = ++unit_seq_;
     applied_units_.push_back(std::move(unit));
@@ -1206,7 +1220,7 @@ Status SmmPatchHandler::write_trampoline(machine::Machine& m,
 SmmStatus SmmPatchHandler::rollback_parsed(machine::Machine& m,
                                            const patchtool::PatchSetView& set) {
   (void)set;  // a rollback package authorizes the operation; state is local
-  return rollback(m);
+  return rollback(m, nullptr);
 }
 
 void SmmPatchHandler::restore_installed(machine::Machine& m,
@@ -1247,10 +1261,26 @@ void SmmPatchHandler::restore_top_unit(machine::Machine& m) {
   remove_unit(m, applied_units_.size() - 1);
 }
 
-SmmStatus SmmPatchHandler::rollback(machine::Machine& m) {
+bool SmmPatchHandler::rollback_authorized(machine::Machine& m,
+                                          const AppliedUnit& unit,
+                                          const RollbackToken& token) {
+  if (crypto::digest_equal(token, unit.rollback_token)) {
+    return true;
+  }
+  record_detection(m, DetectionClass::kRollbackForgery,
+                   SmmStatus::kRollbackDenied,
+                   "rollback of unit " + unit.id + " without its token");
+  return false;
+}
+
+SmmStatus SmmPatchHandler::rollback(machine::Machine& m,
+                                    const RollbackToken* token) {
   auto t0 = Clock::now();
   u64 c0 = m.cycles();
   if (applied_units_.empty()) return SmmStatus::kNothingToRollback;
+  if (token && !rollback_authorized(m, applied_units_.back(), *token)) {
+    return SmmStatus::kRollbackDenied;
+  }
   restore_top_unit(m);
   c_rollbacks_->inc();
   phase_span(m, "rollback", c0, t0);
@@ -1270,6 +1300,9 @@ SmmStatus SmmPatchHandler::revert_patch(machine::Machine& m,
     }
   }
   if (idx == applied_units_.size()) return SmmStatus::kNothingToRollback;
+  if (!rollback_authorized(m, applied_units_[idx], snap.rollback_token)) {
+    return SmmStatus::kRollbackDenied;
+  }
   // Dependency fence: a unit another applied unit depends on must stay until
   // the dependent is reverted (or superseded) first.
   for (size_t u = 0; u < applied_units_.size(); ++u) {

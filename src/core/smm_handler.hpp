@@ -13,7 +13,8 @@
 //                  of N packages; verify all, validate all, then apply all
 //                  under this one SMI (all-or-nothing, one rollback unit
 //                  per package)
-//   kRollback      restore the newest rollback unit's original entry bytes
+//   kRollback      restore the newest rollback unit's original entry bytes,
+//                  if the mailbox presents that unit's rollback token
 //   kIntrospect    re-check trampolines, mem_X hash and reserved-region page
 //                  attributes; repair anything a rootkit reverted
 #pragma once
@@ -94,6 +95,9 @@ struct AppliedUnit {
   /// Set-id hashes this unit requires to stay applied; reverting a unit
   /// another unit depends on is refused with kRevertBlocked.
   std::vector<u64> depends;
+  /// Derived from the apply session's shared secret (rollback_token());
+  /// kRollback/kRevertPatch must present it to remove this unit.
+  RollbackToken rollback_token{};
 };
 
 struct IntrospectionReport {
@@ -254,11 +258,20 @@ class SmmPatchHandler {
                         const MailboxSnapshot& snap);
   SmmStatus stage_chunk(machine::Machine& m, Mailbox& mbox,
                         const MailboxSnapshot& snap);
-  SmmStatus rollback(machine::Machine& m);
+  /// kRollback: pops the newest unit if `token` is its rollback token; null
+  /// when a rollback package sealed under a live session authorized it.
+  SmmStatus rollback(machine::Machine& m, const RollbackToken* token);
   /// kRevertPatch: removes the applied unit whose id hash matches
-  /// snap.revert_target, wherever it sits in the stack, unless another
-  /// applied unit still depends on something it provides (kRevertBlocked).
+  /// snap.revert_target, wherever it sits in the stack, if snap carries its
+  /// rollback token and no other applied unit still depends on something it
+  /// provides (kRevertBlocked).
   SmmStatus revert_patch(machine::Machine& m, const MailboxSnapshot& snap);
+  /// Token check shared by rollback and revert: a mismatch is a forged
+  /// request (no legitimate caller lacks the token), recorded as a
+  /// detection and refused before anything is written.
+  [[nodiscard]] bool rollback_authorized(machine::Machine& m,
+                                         const AppliedUnit& unit,
+                                         const RollbackToken& token);
   /// kQueryApplied: writes the deterministic "KSHQ" inventory blob (unit
   /// ids/versions/seqs, mem_X occupancy + occupied extents) into mem_RW at
   /// MailboxLayout::kQueryBlob and its size at kQuerySize.
@@ -270,14 +283,16 @@ class SmmPatchHandler {
   /// derivation, authenticated open, decrypt charge, and single-use
   /// session-key reset. All mailbox fields come from `snap` — nothing is
   /// re-read from attacker-writable memory (unless the legacy double-fetch
-  /// seam is enabled). Returns kOk with the plaintext span in `out_plain`
-  /// and the buffer that owns it in `out_retain` (zero-copy mode: the
-  /// envelope itself, decrypted in place; legacy seam: an owned copy), or
-  /// the status to report.
+  /// seam is enabled). Returns kOk with the plaintext span in `out_plain`,
+  /// the buffer that owns it in `out_retain` (zero-copy mode: the envelope
+  /// itself, decrypted in place; legacy seam: an owned copy) and the
+  /// session's DH shared secret in `out_shared` (the rollback tokens'
+  /// root), or the status to report.
   SmmStatus decrypt_staged(machine::Machine& m, Mailbox& mbox,
                            const MailboxSnapshot& snap,
                            std::shared_ptr<const Bytes>& out_retain,
-                           ByteSpan& out_plain, size_t& out_staged);
+                           ByteSpan& out_plain, size_t& out_staged,
+                           crypto::X25519Key& out_shared);
 
   /// Records one classified tamper detection (counter, report, trace).
   void record_detection(machine::Machine& m, DetectionClass cls,
@@ -294,17 +309,21 @@ class SmmPatchHandler {
 
   /// Shared tail of apply_patch / stage_chunk: verify the plaintext package
   /// and apply it, charging costs and recording timings. `package` borrows
-  /// from `retain` (which installed patches keep alive past the SMI).
+  /// from `retain` (which installed patches keep alive past the SMI);
+  /// `shared` is the session's DH shared secret.
   SmmStatus verify_and_apply(machine::Machine& m,
                              const std::shared_ptr<const Bytes>& retain,
-                             ByteSpan package, size_t staged_bytes);
+                             ByteSpan package, size_t staged_bytes,
+                             const crypto::X25519Key& shared);
 
-  /// Applies one parsed set. `retain` is the buffer the set's code spans
-  /// borrow from; null (legacy copying parser) makes the installed records
-  /// take owned per-function copies instead.
+  /// Applies one parsed set as a unit removable only with `token`.
+  /// `retain` is the buffer the set's code spans borrow from; null (legacy
+  /// copying parser) makes the installed records take owned per-function
+  /// copies instead.
   SmmStatus apply_parsed(machine::Machine& m,
                          const patchtool::PatchSetView& set,
-                         const std::shared_ptr<const Bytes>& retain);
+                         const std::shared_ptr<const Bytes>& retain,
+                         const RollbackToken& token);
   SmmStatus rollback_parsed(machine::Machine& m,
                             const patchtool::PatchSetView& set);
 
@@ -374,6 +393,7 @@ class SmmPatchHandler {
 
   // Streaming-mode state (SMRAM-resident accumulation buffer).
   std::optional<crypto::Key256> stream_key_;
+  crypto::X25519Key stream_shared_{};  // the stream session's shared secret
   Bytes stream_buffer_;
   u32 stream_expected_ = 0;
   u32 stream_total_ = 0;

@@ -71,17 +71,10 @@ class AttackerSurface final : public Surface {
          {lay.mem_w_base(), lay.mem_w_base() + lay.mem_w_size}});
   }
 
-  /// The image the window is read from: physical memory [0, epc_base).
-  static ByteSpan image(testbed::Testbed& t) {
-    const size_t n = t.layout().epc_base;
-    return ByteSpan(t.machine().mem().raw(0, n), n);
-  }
-
-  /// Refills `out` with the current image; the buffer is reused across
-  /// cases so a snapshot does not page-fault a fresh 36 MB allocation.
-  static void snap(testbed::Testbed& t, Bytes& out) {
-    ByteSpan img = image(t);
-    out.assign(img.begin(), img.end());
+  /// Sparse copy of the window's source, physical memory [0, epc_base).
+  /// The image's storage is reused across cases.
+  static void snap(testbed::Testbed& t, machine::MemImage& out) {
+    out.capture(t.machine().mem(), 0, t.layout().epc_base);
   }
 
   /// Boots and patches once with no adversary attached; the resulting
@@ -106,8 +99,8 @@ class AttackerSurface final : public Surface {
 
   AttackerSurfaceOptions opts_;
   bool baseline_ready_ = false;
-  Bytes baseline_final_;
-  Bytes pre_;  // per-case pre-patch image, reused across cases
+  machine::MemImage baseline_final_;
+  machine::MemImage pre_;  // per-case pre-patch image, reused across cases
   u32 baseline_apply_attempts_ = 0;
 };
 
@@ -214,15 +207,15 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
   // run must leave memory byte-identical to the no-attack run; a failed run
   // must leave the kernel byte-identical to its pre-patch image AND carry a
   // classified DetectionReport when the adversary actually interposed.
-  const Bytes& expected = success ? baseline_final_ : pre_;
-  const ByteSpan cur = image(t);
+  const machine::MemImage& expected = success ? baseline_final_ : pre_;
+  const machine::PhysMem& cur = t.machine().mem();
   const machine::MemWindow win = window(t.layout());
   if (auto at = win.first_difference(cur, expected)) {
     std::ostringstream os;
     os << "memory differs from the " << (success ? "no-attack" : "pre-patch")
        << " image at 0x" << std::hex << *at << ": expected 0x"
-       << static_cast<int>(expected[*at]) << " got 0x"
-       << static_cast<int>(cur[*at]);
+       << static_cast<int>(expected.byte_at(*at)) << " got 0x"
+       << static_cast<int>(*cur.raw(*at, 1));
     fail("silent-corruption", os.str());
   }
   if (!success && !det.any() && adv.actions_fired() > 0) {
@@ -362,6 +355,39 @@ std::vector<std::pair<std::string, Bytes>> seed_attacker_cases() {
                                         AdversaryTrigger::kPreSmi, 1u << 8,
                                         2});
     out.emplace_back("smidup-cmdflip-apply", s.encode());
+  }
+  {
+    // A duplicated SMI at the outcome, its command word flipped to
+    // kRollback, used to undo the applied patch while live_patch reported
+    // success: bare kRollback needed no authority. It now lacks the unit's
+    // rollback token and is refused with a detection.
+    AdversarySchedule s;
+    s.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                        AdversaryTrigger::kPreSmi, 2u << 8,
+                                        3});
+    s.actions.push_back(AdversaryAction{AdversaryVariant::kSmiDuplicate,
+                                        AdversaryTrigger::kOnOutcome, 0, 0});
+    out.emplace_back("cmdflip-rollback-outcome", s.encode());
+  }
+  {
+    // Two duplicated SMIs at staging: the first, flipped to kApplyPatch,
+    // applies the staged package; the second, flipped to kBeginSession,
+    // re-keys. The helper's own apply then fails authentication (not
+    // kNoSession), and trusting that rejection reported failure with the
+    // patch live. Seeing SMIs it never issued, the helper now confirms
+    // through kQueryApplied.
+    AdversarySchedule s;
+    s.actions.push_back(AdversaryAction{AdversaryVariant::kSmiDuplicate,
+                                        AdversaryTrigger::kOnStaged, 0, 0});
+    s.actions.push_back(AdversaryAction{AdversaryVariant::kSmiDuplicate,
+                                        AdversaryTrigger::kOnStaged, 0, 0});
+    s.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                        AdversaryTrigger::kPreSmi, 1u << 8,
+                                        2});
+    s.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                        AdversaryTrigger::kPreSmi, 2u << 8,
+                                        1});
+    out.emplace_back("smidup-rekey-apply", s.encode());
   }
   return out;
 }

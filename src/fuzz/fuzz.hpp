@@ -116,6 +116,11 @@ struct PackageSurfaceOptions {
   /// parser instead of the zero-copy span parser. Verdicts (including
   /// state_digest) must be identical either way. Test-only.
   bool legacy_copy_parser = false;
+  /// Self-test seam: a writer racing the apply SMI rewrites a kernel-data
+  /// byte no package declares with its own value, so the harness can prove
+  /// the dirtied-pages oracle catches writes the memory compare cannot.
+  /// Test-only.
+  bool stray_smm_write = false;
 };
 
 std::unique_ptr<Surface> make_package_surface(PackageSurfaceOptions o = {});

@@ -50,7 +50,11 @@ enum class Op : u8 {
   kApplyDep = 2,   // apply "D<k>" depending on "U<k>"
   kRevert = 3,     // kRevertPatch targeting ids[arg % 12]
   kRollback = 4,   // kRollback (LIFO pop)
+  kStray = 5,      // unauthenticated request: arg & 1 → kRevertPatch of
+                   // ids[(arg >> 1) % 12], else kRollback; presents another
+                   // unit's token (or none) and must be refused
 };
+constexpr u8 kOpCount = 6;
 constexpr size_t kMaxOps = 32;
 
 /// Same compact 2 MB layout as the package surface: cheap full-memory
@@ -173,6 +177,7 @@ struct ModelUnit {
   std::string kernel_version;
   u64 id_hash = 0;
   u64 seq = 0;
+  core::RollbackToken token{};
   std::vector<u64> provides;
   std::vector<u64> depends;
   std::vector<ModelFunc> funcs;  // in apply order within the unit
@@ -199,10 +204,11 @@ void func_windows(const ModelFunc& f, std::vector<RefWindow>& out) {
 /// Mirror of apply_parsed's lifecycle contract: supersede resolution by
 /// exact id, dependency fence over the union of applied provides, window
 /// validation against the non-retired installed set, then commit (erase
-/// retired, inherit provides, append the new unit with the next seq).
+/// retired, inherit provides, append the new unit with the next seq). A
+/// unit leaves only when its rollback token is presented.
 class StackModel {
  public:
-  SmmStatus apply(const PatchSet& set) {
+  SmmStatus apply(const PatchSet& set, const core::RollbackToken& token) {
     std::vector<size_t> superseded;
     for (const auto& sid : set.supersedes) {
       for (size_t u = 0; u < units_.size(); ++u) {
@@ -263,6 +269,7 @@ class StackModel {
     unit.id = set.id;
     unit.kernel_version = set.kernel_version;
     unit.id_hash = crypto::sdbm(to_bytes(set.id));
+    unit.token = token;
     unit.funcs = std::move(funcs);
     unit.provides.push_back(unit.id_hash);
     unit.provides.insert(unit.provides.end(), inherited.begin(),
@@ -279,15 +286,10 @@ class StackModel {
     return SmmStatus::kOk;
   }
 
-  SmmStatus revert(u64 id_hash) {
-    size_t idx = units_.size();
-    for (size_t u = 0; u < units_.size(); ++u) {
-      if (units_[u].id_hash == id_hash) {
-        idx = u;
-        break;
-      }
-    }
+  SmmStatus revert(u64 id_hash, const core::RollbackToken& presented) {
+    size_t idx = find(id_hash);
     if (idx == units_.size()) return SmmStatus::kNothingToRollback;
+    if (presented != units_[idx].token) return SmmStatus::kRollbackDenied;
     for (size_t u = 0; u < units_.size(); ++u) {
       if (u == idx) continue;
       for (u64 dep : units_[u].depends) {
@@ -300,10 +302,29 @@ class StackModel {
     return SmmStatus::kOk;
   }
 
-  SmmStatus rollback() {
+  SmmStatus rollback(const core::RollbackToken& presented) {
     if (units_.empty()) return SmmStatus::kNothingToRollback;
+    if (presented != units_.back().token) return SmmStatus::kRollbackDenied;
     units_.pop_back();
     return SmmStatus::kOk;
+  }
+
+  /// Token of the unit with `id_hash` (0: the newest unit), zeros if none.
+  [[nodiscard]] core::RollbackToken token_of(u64 id_hash) const {
+    if (id_hash == 0) {
+      return units_.empty() ? core::RollbackToken{} : units_.back().token;
+    }
+    size_t idx = find(id_hash);
+    return idx < units_.size() ? units_[idx].token : core::RollbackToken{};
+  }
+  /// A token that opens no unit but `id_hash`'s target: another unit's if
+  /// the stack has one, else zeros.
+  [[nodiscard]] core::RollbackToken wrong_token(u64 id_hash) const {
+    const core::RollbackToken right = token_of(id_hash);
+    for (const auto& u : units_) {
+      if (u.token != right) return u.token;
+    }
+    return core::RollbackToken{};
   }
 
   /// Byte-identical rebuild of the handler's kQueryApplied blob from model
@@ -358,6 +379,13 @@ class StackModel {
   [[nodiscard]] size_t size() const { return units_.size(); }
 
  private:
+  [[nodiscard]] size_t find(u64 id_hash) const {
+    for (size_t u = 0; u < units_.size(); ++u) {
+      if (units_[u].id_hash == id_hash) return u;
+    }
+    return units_.size();
+  }
+
   std::vector<ModelUnit> units_;
   u64 seq_counter_ = 0;
 };
@@ -391,7 +419,7 @@ class LifecycleSurface final : public Surface {
        {lay_.mem_rw_base(), lay_.mem_rw_base() + lay_.mem_rw_size},
        {lay_.mem_w_base(), lay_.mem_w_base() + lay_.mem_w_size},
        {lay_.mem_x_base(), lay_.mem_x_base() + lay_.mem_x_size}}};
-  Bytes snapshot_;  // per-case pre-run image, reused across cases
+  machine::MemImage snapshot_;  // per-case pre-run image, reused across cases
 };
 
 Bytes LifecycleSurface::generate(Rng& rng) {
@@ -404,7 +432,7 @@ Bytes LifecycleSurface::generate(Rng& rng) {
   Bytes b;
   b.reserve(2 * n);
   for (size_t i = 0; i < n; ++i) {
-    b.push_back(static_cast<u8>(rng.next_below(5)));
+    b.push_back(static_cast<u8>(rng.next_below(kOpCount)));
     // Small args keep schedules colliding on the same ids (that is where
     // the lifecycle logic lives); occasional full-range args exercise the
     // modular decoding and the whole revert table.
@@ -461,9 +489,10 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   Rng arng(kAttackerSeed);
 
   // Pre-run snapshot: after the final drain, everything outside
-  // SMRAM/mailbox/mem_W/mem_X must come back to exactly this.
-  const ByteSpan image(m.mem().raw(0, lay_.mem_bytes), lay_.mem_bytes);
-  snapshot_.assign(image.begin(), image.end());
+  // SMRAM/mailbox/mem_W/mem_X must come back to exactly this. Oracles read
+  // memory through this const view only.
+  const machine::PhysMem& image = m.mem();
+  snapshot_.capture(image, 0, lay_.mem_bytes);
 
   StackModel model;
   bool applied_any = false;
@@ -481,8 +510,10 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   };
 
   // One full helper handshake per apply op: fresh session keys, fresh
-  // nonce, package sealed under the derived "sgx-smm" key.
-  auto run_apply = [&](const PatchSet& set) -> Result<SmmStatus> {
+  // nonce, package sealed under the derived "sgx-smm" key. `token` gets the
+  // rollback token the enclave would keep for the unit.
+  auto run_apply = [&](const PatchSet& set,
+                       core::RollbackToken& token) -> Result<SmmStatus> {
     auto st = smi_status(SmmCommand::kBeginSession);
     if (!st || *st != SmmStatus::kOk) {
       fail("rig", "begin_session failed");
@@ -497,6 +528,7 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
     auto shared = crypto::dh_shared(keys.private_key, *smm_pub);
     auto key = crypto::derive_key(ByteSpan(shared.data(), shared.size()),
                                   "sgx-smm");
+    token = core::rollback_token(ByteSpan(shared.data(), shared.size()), 0);
     crypto::Nonce96 nonce{};
     arng.fill(MutByteSpan(nonce.data(), nonce.size()));
     Bytes wire = patchtool::serialize_patchset_raw(set);
@@ -543,32 +575,60 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
     }
   };
 
+  // Removal requests present a token in the mailbox, then raise the SMI.
+  auto revert = [&](u64 h, const core::RollbackToken& t) {
+    mbox.write_revert_target(h);
+    mbox.write_rollback_token(t);
+    return smi_status(SmmCommand::kRevertPatch);
+  };
+  auto rollback = [&](const core::RollbackToken& t) {
+    mbox.write_rollback_token(t);
+    return smi_status(SmmCommand::kRollback);
+  };
+
   for (size_t i = 0; i + 1 < encoded.size() && !v.failure; i += 2) {
-    Op op = static_cast<Op>(encoded[i] % 5);
+    Op op = static_cast<Op>(encoded[i] % kOpCount);
     u8 arg = encoded[i + 1];
     SmmStatus predicted;
     Result<SmmStatus> observed = SmmStatus::kOk;
+    const u64 detections_before = handler.detections_seen();
     switch (op) {
       case Op::kApplyBase:
       case Op::kApplySup:
       case Op::kApplyDep: {
         PatchSet set = op_patchset(lay_, op, arg);
-        predicted = model.apply(set);
-        observed = run_apply(set);
+        core::RollbackToken token{};
+        observed = run_apply(set, token);
+        predicted = model.apply(set, token);
         if (predicted == SmmStatus::kOk) applied_any = true;
         break;
       }
       case Op::kRevert: {
         u64 h = crypto::sdbm(to_bytes(revert_target_id(arg)));
-        predicted = model.revert(h);
-        mbox.write_revert_target(h);
-        observed = smi_status(SmmCommand::kRevertPatch);
+        core::RollbackToken t = model.token_of(h);
+        predicted = model.revert(h, t);
+        observed = revert(h, t);
         break;
       }
-      case Op::kRollback:
-        predicted = model.rollback();
-        observed = smi_status(SmmCommand::kRollback);
+      case Op::kRollback: {
+        core::RollbackToken t = model.token_of(0);
+        predicted = model.rollback(t);
+        observed = rollback(t);
         break;
+      }
+      case Op::kStray: {
+        if (arg & 1) {
+          u64 h = crypto::sdbm(to_bytes(revert_target_id(arg >> 1)));
+          core::RollbackToken t = model.wrong_token(h);
+          predicted = model.revert(h, t);
+          observed = revert(h, t);
+        } else {
+          core::RollbackToken t = model.wrong_token(0);
+          predicted = model.rollback(t);
+          observed = rollback(t);
+        }
+        break;
+      }
     }
     if (v.failure) break;
     if (!observed) {
@@ -583,6 +643,18 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
                core::smm_status_name(*observed));
       break;
     }
+    // A refused removal is a forgery and must be recorded as one; nothing
+    // else these ops do is a detection.
+    const u64 want_detections =
+        detections_before + (predicted == SmmStatus::kRollbackDenied ? 1 : 0);
+    if (handler.detections_seen() != want_detections) {
+      fail("rollback-detection",
+           "op " + std::to_string(i / 2) + ": " +
+               std::to_string(handler.detections_seen() - detections_before) +
+               " detection(s) recorded for " +
+               core::smm_status_name(predicted));
+      break;
+    }
     check_query(i / 2);
   }
 
@@ -592,8 +664,9 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   if (!v.failure) {
     size_t pops = model.size();
     for (size_t i = 0; i < pops && !v.failure; ++i) {
-      SmmStatus predicted = model.rollback();
-      auto st = smi_status(SmmCommand::kRollback);
+      core::RollbackToken t = model.token_of(0);
+      SmmStatus predicted = model.rollback(t);
+      auto st = rollback(t);
       if (!st || *st != predicted) {
         fail("drain-status",
              "drain pop " + std::to_string(i) + ": expected " +
@@ -602,7 +675,7 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
       }
     }
     if (!v.failure) {
-      auto st = smi_status(SmmCommand::kRollback);
+      auto st = rollback(core::RollbackToken{});
       if (!st || *st != SmmStatus::kNothingToRollback) {
         fail("drain-exhausted",
              std::string("expected nothing-to-rollback got ") +
@@ -670,7 +743,7 @@ std::string LifecycleSurface::describe(ByteSpan encoded) const {
   for (size_t i = 0; i + 1 < encoded.size(); i += 2) {
     u8 arg = encoded[i + 1];
     os << "\n  [" << i / 2 << "] ";
-    switch (static_cast<Op>(encoded[i] % 5)) {
+    switch (static_cast<Op>(encoded[i] % kOpCount)) {
       case Op::kApplyBase:
         os << "apply U" << int{arg} % 4;
         break;
@@ -686,6 +759,14 @@ std::string LifecycleSurface::describe(ByteSpan encoded) const {
         break;
       case Op::kRollback:
         os << "rollback";
+        break;
+      case Op::kStray:
+        if (arg & 1) {
+          os << "stray revert " << revert_target_id(arg >> 1);
+        } else {
+          os << "stray rollback";
+        }
+        os << " (wrong token)";
         break;
     }
   }
@@ -711,6 +792,11 @@ std::vector<std::pair<std::string, Bytes>> seed_lifecycle_cases() {
   out.emplace_back("missing-dependency", Bytes{2, 2, 0, 2, 2, 2});
   // Re-applying a live id overlaps its own windows; rollback drains.
   out.emplace_back("double-apply-overlap", Bytes{0, 3, 0, 3, 4, 3});
+  // U0, U1; a rollback of U1 and a revert of U1, both presenting U0's token,
+  // are refused and change nothing; two honest rollbacks then drain the
+  // stack, and a stray rollback of the empty stack has nothing to refuse.
+  out.emplace_back("stray-rollback-refused",
+                   Bytes{0, 0, 0, 1, 5, 0, 5, 3, 4, 0, 4, 0, 5, 0});
   return out;
 }
 

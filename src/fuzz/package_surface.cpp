@@ -267,24 +267,46 @@ Prediction predict(const kernel::MemoryLayout& lay, ByteSpan wire,
 /// Applies the modeled legitimate writes of a successful apply to `image`,
 /// in the handler's documented order (var edits, then bodies, then
 /// trampolines), so overlapping writes resolve identically.
-void model_trampolines(const PatchSet& set, Bytes& image) {
+void model_trampolines(const PatchSet& set, machine::MemImage& image) {
   for (const auto& p : set.patches) {
     if (p.taddr == 0) continue;
     u64 jmp = p.taddr + p.ftrace_off;
     auto t = model_jmp(jmp, p.paddr + p.ftrace_off);
-    std::memcpy(&image[jmp], t.data(), t.size());
+    image.write(jmp, ByteSpan(t.data(), t.size()));
   }
 }
 
-void model_apply(const PatchSet& set, Bytes& image, bool with_trampolines) {
+void model_apply(const PatchSet& set, machine::MemImage& image,
+                 bool with_trampolines) {
   for (const auto& p : set.patches) {
-    for (const auto& v : p.var_edits) store_u64(&image[v.addr], v.value);
+    for (const auto& v : p.var_edits) {
+      u8 b[8];
+      store_u64(b, v.value);
+      image.write(v.addr, ByteSpan(b, sizeof(b)));
+    }
   }
   for (const auto& p : set.patches) {
-    if (!p.code.empty()) std::memcpy(&image[p.paddr], p.code.data(),
-                                     p.code.size());
+    if (!p.code.empty()) image.write(p.paddr, p.code);
   }
   if (with_trampolines) model_trampolines(set, image);
+}
+
+/// Every byte range a predicted apply may write outside SMRAM and the
+/// mailbox: var-edit words, mem_X bodies (or splice windows) and
+/// trampolines. The pages an apply SMI dirties must all overlap one.
+std::vector<machine::MemWindow::Range> declared_writes(
+    const Prediction& pred) {
+  std::vector<machine::MemWindow::Range> out;
+  if (!pred.applies) return out;
+  std::vector<RefWindow> windows;
+  for (const auto& s : pred.sets) {
+    for (const auto& p : s.patches) {
+      reference_windows(p, windows);
+      for (const auto& v : p.var_edits) windows.push_back({v.addr, 8});
+    }
+  }
+  for (const auto& w : windows) out.push_back({w.addr, w.addr + w.len});
+  return out;
 }
 
 class PackageSurface final : public Surface {
@@ -308,8 +330,8 @@ class PackageSurface final : public Surface {
       {{lay_.smram_base, lay_.smram_base + lay_.smram_size},
        {lay_.mem_rw_base(), lay_.mem_rw_base() + lay_.mem_rw_size}}};
   // Per-case images, reused across cases.
-  Bytes snapshot_;
-  Bytes expected_;
+  machine::MemImage snapshot_;
+  machine::MemImage expected_;
 };
 
 // ---- Generation --------------------------------------------------------------
@@ -531,14 +553,37 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   // Pre-apply snapshot: the byte-identical baseline every rejection path
   // must restore. Taken before the apply SMI; the mailbox page and SMRAM
   // are excluded from comparison (both legitimately change under SMIs).
-  const ByteSpan image(m.mem().raw(0, lay_.mem_bytes), lay_.mem_bytes);
-  snapshot_.assign(image.begin(), image.end());
+  // Oracles read memory through this const view only.
+  const machine::PhysMem& image = m.mem();
+  snapshot_.capture(image, 0, lay_.mem_bytes);
 
   Prediction pred = predict(lay_, encoded, sealed.size());
 
+  if (opts_.stray_smm_write) {
+    // Self-test seam: a writer racing the apply SMI rewrites one byte of
+    // the last kernel-data page with the value it already holds. No byte
+    // changes, so only the dirtied-pages oracle can see it.
+    handler.set_concurrent_writer([this](machine::Machine& mm) {
+      const u64 at = lay_.data_base + lay_.data_max - 1;
+      u8* p = mm.mem().raw(at, 1);
+      *p = *p;
+    });
+  }
   mbox.write_command(pred.is_batch ? SmmCommand::kApplyBatch
                                    : SmmCommand::kApplyPatch);
   m.trigger_smi();
+  handler.set_concurrent_writer(nullptr);
+
+  // Oracle: every page the apply SMI wrote outside SMRAM and the mailbox
+  // is one the package declares (trampoline text, var-edit data, mem_X
+  // bodies). This sees writes that leave bytes unchanged, which the memory
+  // compare below cannot.
+  if (auto page = window_.first_undeclared_page(
+          image, m.last_smi_generation(), declared_writes(pred))) {
+    std::ostringstream os;
+    os << "apply SMI wrote undeclared page 0x" << std::hex << *page;
+    fail("smm-dirty-pages", os.str());
+  }
 
   // Oracle: no Status swallowed — the status word must be readable and a
   // known SmmStatus value, and the command word must be consumed.
@@ -548,7 +593,7 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     fail("status-unreadable", "mailbox status word unreadable after apply");
     return v;
   }
-  if (*raw_status > static_cast<u64>(SmmStatus::kRevertBlocked)) {
+  if (*raw_status > static_cast<u64>(SmmStatus::kRollbackDenied)) {
     fail("status-unknown",
          "status word not a known SmmStatus: " + std::to_string(*raw_status));
     return v;
@@ -569,12 +614,13 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
 
   // Oracle: success-or-byte-identical memory. Expected image = snapshot
   // (+ modeled writes iff the apply was predicted to succeed).
-  auto compare_memory = [&](const Bytes& expected, const char* oracle) {
+  auto compare_memory = [&](const machine::MemImage& expected,
+                            const char* oracle) {
     if (auto at = window_.first_difference(image, expected)) {
       std::ostringstream os;
       os << "memory differs at 0x" << std::hex << *at << ": expected 0x"
-         << static_cast<int>(expected[*at]) << " got 0x"
-         << static_cast<int>(image[*at]);
+         << static_cast<int>(expected.byte_at(*at)) << " got 0x"
+         << static_cast<int>(*image.raw(*at, 1));
       fail(oracle, os.str());
     }
   };
@@ -587,7 +633,7 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     // trampolines (text) live in disjoint regions, so modeling them
     // category-by-category preserves every cross-set last-writer outcome.
     if (applied) {
-      expected_.assign(snapshot_.begin(), snapshot_.end());
+      expected_ = snapshot_;
       for (const auto& s : pred.sets) {
         model_apply(s, expected_, /*with_trampolines=*/true);
       }
@@ -614,6 +660,10 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     }
     size_t remaining = total_entries;
     for (auto it = units.rbegin(); it != units.rend(); ++it) {
+      // The rollback authority of unit *it: derived from this session's
+      // shared secret and the unit's position in the batch.
+      mbox.write_rollback_token(core::rollback_token(
+          ByteSpan(shared.data(), shared.size()), static_cast<u32>(*it)));
       mbox.write_command(SmmCommand::kRollback);
       m.trigger_smi();
       auto rb = mbox.read_status();
@@ -629,7 +679,7 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
       // Popping unit *it restores the entry bytes captured just before that
       // set applied — the earlier sets' trampolines stay live (overlapping
       // jmp windows never get this far: validation rejects them).
-      expected_.assign(snapshot_.begin(), snapshot_.end());
+      expected_ = snapshot_;
       for (const auto& s : pred.sets) {
         model_apply(s, expected_, /*with_trampolines=*/false);
       }

@@ -1,6 +1,7 @@
 #include "machine/machine.hpp"
 
 #include <cassert>
+#include <utility>
 
 #include "common/byte_io.hpp"
 #include "common/log.hpp"
@@ -81,7 +82,7 @@ void Machine::save_state_to_smram() {
 
 void Machine::restore_state_from_smram() {
   PhysAddr base = mem_.smram_base() + kSaveStateOffset;
-  const u8* p = mem_.raw(base, 16 * 8 + 3 * 8);
+  const u8* p = std::as_const(mem_).raw(base, 16 * 8 + 3 * 8);
   for (int i = 0; i < isa::kNumRegs; ++i) cpu_.regs[i] = load_u64(p + 8 * i);
   cpu_.rip = load_u64(p + 128);
   
@@ -112,6 +113,8 @@ void Machine::trigger_smi() {
   for (auto& s : slots_) ++s.smi_count;
 
   u64 entered = cycles_;
+  mem_.next_generation();
+  last_smi_generation_ = mem_.generation();
   current_rendezvous_cycles_ = rendezvous_cost();
   charge_cycles(current_rendezvous_cycles_);
   save_state_to_smram();
@@ -126,6 +129,7 @@ void Machine::trigger_smi() {
   // RSM: restore the architectural state the hardware saved.
   restore_state_from_smram();
   mode_ = CpuMode::kProtected;
+  mem_.next_generation();
   const u64 resume = projected_resume_cycles();
   charge_cycles(resume);
 

@@ -189,6 +189,10 @@ class Machine {
   [[nodiscard]] u64 smm_cycles() const { return smm_cycles_; }
   /// Number of SMIs taken.
   [[nodiscard]] u64 smi_count() const { return smi_count_; }
+  /// PhysMem write generation the last delivered SMI ran in: the pages it
+  /// wrote (handler, save state, anything racing it) are exactly those
+  /// stamped with this value. 0 before the first SMI.
+  [[nodiscard]] u32 last_smi_generation() const { return last_smi_generation_; }
   /// Instructions retired in protected mode.
   [[nodiscard]] u64 instret() const { return instret_; }
 
@@ -231,6 +235,7 @@ class Machine {
   u64 cycles_ = 0;
   u64 smm_cycles_ = 0;
   u64 smi_count_ = 0;
+  u32 last_smi_generation_ = 0;
   u64 instret_ = 0;
 
   std::vector<CpuSlot> slots_{1};

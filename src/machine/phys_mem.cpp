@@ -12,8 +12,10 @@ namespace kshot::machine {
 PhysMem::PhysMem(size_t size_bytes)
     : mem_(static_cast<u8*>(std::calloc(size_bytes == 0 ? 1 : size_bytes, 1))),
       size_(size_bytes),
-      attrs_((size_bytes + kPageSize - 1) / kPageSize) {
-  if (!mem_) throw std::bad_alloc();
+      attrs_((size_bytes + kPageSize - 1) / kPageSize),
+      gens_(static_cast<u32*>(
+          std::calloc(attrs_.empty() ? 1 : attrs_.size(), sizeof(u32)))) {
+  if (!mem_ || !gens_) throw std::bad_alloc();
 }
 
 Status PhysMem::check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
@@ -88,6 +90,7 @@ Status PhysMem::write(PhysAddr addr, ByteSpan data, AccessMode mode) {
   KSHOT_RETURN_IF_ERROR(check(addr, data.size(), mode, true, false));
   if (!data.empty()) {
     std::memcpy(mem_.get() + addr, data.data(), data.size());
+    stamp(addr, data.size());
   }
   return Status::ok();
 }
@@ -147,13 +150,22 @@ bool PhysMem::in_smram(PhysAddr addr) const {
 }
 
 u8* PhysMem::raw(PhysAddr addr, size_t len) {
-  if (addr + len > size_) std::abort();
+  if (addr + len > size_ || addr + len < addr) std::abort();
+  stamp(addr, len);
   return mem_.get() + addr;
 }
 
 const u8* PhysMem::raw(PhysAddr addr, size_t len) const {
-  if (addr + len > size_) std::abort();
+  if (addr + len > size_ || addr + len < addr) std::abort();
   return mem_.get() + addr;
+}
+
+void PhysMem::stamp(PhysAddr addr, size_t len) {
+  if (len == 0) return;
+  const u64 last = (addr + len - 1) / kPageSize;
+  for (u64 page = addr / kPageSize; page <= last; ++page) {
+    gens_[page] = generation_;
+  }
 }
 
 }  // namespace kshot::machine

@@ -67,16 +67,38 @@ class PhysMem {
   [[nodiscard]] size_t smram_size() const { return smram_len_; }
 
   /// Raw pointer for the simulator harness itself (tests, loaders). Not
-  /// reachable from simulated software; bounds-checked.
+  /// reachable from simulated software; bounds-checked. The mutable overload
+  /// counts as a write of [addr, addr+len) (see below); oracles read through
+  /// a const PhysMem& so they stamp nothing.
   u8* raw(PhysAddr addr, size_t len);
   const u8* raw(PhysAddr addr, size_t len) const;
 
+  // Written-page tracking -------------------------------------------------
+  // Every mutation (write, write_u64, the mutable raw) stamps the pages it
+  // touches with the current generation. A page still at generation 0 was
+  // never written, so calloc guarantees it reads as zero; the full-memory
+  // oracles (MemWindow, MemImage) skip such pages without reading them.
+  [[nodiscard]] size_t page_count() const { return attrs_.size(); }
+  [[nodiscard]] u32 page_generation(u64 page) const { return gens_[page]; }
+  [[nodiscard]] bool page_written(u64 page) const { return gens_[page] != 0; }
+  /// Generation new writes are stamped with (starts at 1).
+  [[nodiscard]] u32 generation() const { return generation_; }
+  /// Starts a new write generation. Machine calls this at SMI entry and
+  /// after RSM, so the pages an SMI wrote are exactly those stamped with
+  /// the generation it ran in. Never returns to 0 (0 means "never written").
+  void next_generation() {
+    generation_ = generation_ == ~u32{0} ? 1 : generation_ + 1;
+  }
+
  private:
+  /// Stamps the pages of [addr, addr+len) (already bounds-checked).
+  void stamp(PhysAddr addr, size_t len);
+
   Status check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
                bool fetching) const;
 
   struct FreeDeleter {
-    void operator()(u8* p) const { std::free(p); }
+    void operator()(void* p) const { std::free(p); }
   };
 
   // calloc'd, not value-initialized: the pages are zero on first touch, so
@@ -84,6 +106,10 @@ class PhysMem {
   std::unique_ptr<u8[], FreeDeleter> mem_;
   size_t size_;
   std::vector<PageAttr> attrs_;
+  // Per-page write generation, 0 = never written; calloc'd like mem_ so a
+  // machine pays only for the generation pages its writes reach.
+  std::unique_ptr<u32[], FreeDeleter> gens_;
+  u32 generation_ = 1;
   PhysAddr smram_base_ = 0;
   size_t smram_len_ = 0;
 };

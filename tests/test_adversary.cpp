@@ -228,6 +228,63 @@ TEST(AdversaryRegression, StaleEnvelopeReplayIsDetected) {
       << rep->detections.to_string();
 }
 
+/// The schedule the campaign generator emits for `item` of campaign seed
+/// `seed` (kshot-sim attack --schedule-seed).
+AdversarySchedule campaign_item(u64 seed, u64 item) {
+  return AdversarySchedule::generate(seed ^ (0x9E3779B97F4A7C15ull * (item + 1)));
+}
+
+/// Runs `sched` against a fresh deployment and applies the attacker
+/// surface's oracle by hand: memory outside SMRAM, the mailbox page and
+/// mem_W equals the no-attack image when the run reports success and the
+/// pre-patch image when it fails, and a failure carries a detection. A
+/// successful run must then roll back with the token the enclave kept.
+core::PatchReport expect_prevented_or_detected(const AdversarySchedule& sched,
+                                               u64 fired) {
+  auto image = [](Testbed& t) {
+    machine::MemImage img;
+    img.capture(t.machine().mem(), 0, t.layout().epc_base);
+    return img;
+  };
+  auto clean = boot();
+  auto clean_rep = clean->kshot().live_patch("CVE-2014-0196");
+  EXPECT_TRUE(clean_rep.is_ok() && clean_rep->success);
+  const machine::MemImage no_attack = image(*clean);
+
+  auto t = boot();
+  const machine::MemImage pre_patch = image(*t);
+  AsyncAdversary adv(t->machine(), t->kshot(), t->layout(), sched);
+  adv.attach();
+  auto rep = t->kshot().live_patch("CVE-2014-0196");
+  adv.detach();
+  EXPECT_TRUE(rep.is_ok()) << rep.status().to_string();
+  if (!rep.is_ok()) return {};
+  EXPECT_EQ(adv.actions_fired(), fired);
+  EXPECT_TRUE(rep->success || rep->detections.any())
+      << core::smm_status_name(rep->smm_status);
+
+  const auto& lay = t->layout();
+  const machine::MemWindow win(
+      0, lay.epc_base,
+      {{lay.smram_base, lay.smram_base + lay.smram_size},
+       {lay.mem_rw_base(), lay.mem_rw_base() + lay.mem_rw_size},
+       {lay.mem_w_base(), lay.mem_w_base() + lay.mem_w_size}});
+  auto at = win.first_difference(t->machine().mem(),
+                                 rep->success ? no_attack : pre_patch);
+  EXPECT_FALSE(at.has_value())
+      << (rep->success ? "no-attack" : "pre-patch") << " image differs at 0x"
+      << std::hex << *at;
+  if (rep->success) {
+    auto exploit = t->run_exploit();
+    EXPECT_TRUE(exploit.is_ok() && !exploit->oops);
+    auto rb = t->kshot().rollback();
+    EXPECT_TRUE(rb.is_ok() && rb->smm_status == core::SmmStatus::kOk)
+        << (rb.is_ok() ? core::smm_status_name(rb->smm_status)
+                       : rb.status().to_string());
+  }
+  return std::move(*rep);
+}
+
 // A duplicated SMI at staging whose pre-SMI window flips the command word to
 // kApplyPatch runs the staged apply before the helper's own apply SMI; that
 // SMI then finds its session consumed (kNoSession). The helper used to take
@@ -241,49 +298,49 @@ TEST(AdversaryRegression, DuplicatedApplySmiIsPreventedNotSilent) {
   sched.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
                                           AdversaryTrigger::kPreSmi,
                                           /*param=*/1u << 8, /*value=*/2});
-  // The schedule the campaign generator emits at seed 1, item 152.
-  EXPECT_EQ(sched.encode(),
-            AdversarySchedule::generate(1 ^ (0x9E3779B97F4A7C15ull * 153))
-                .encode());
+  EXPECT_EQ(sched.encode(), campaign_item(1, 152).encode());
+  expect_prevented_or_detected(sched, 2);
+}
 
-  auto image = [](Testbed& t) {
-    const size_t n = t.layout().epc_base;
-    return Bytes(t.machine().mem().raw(0, n), t.machine().mem().raw(0, n) + n);
-  };
-  auto clean = boot();
-  auto clean_rep = clean->kshot().live_patch("CVE-2014-0196");
-  ASSERT_TRUE(clean_rep.is_ok() && clean_rep->success);
-  const Bytes no_attack = image(*clean);
+// A duplicated SMI at the outcome whose pre-SMI window flips the command
+// word to kRollback undid the applied patch while live_patch reported
+// success: SMM honoured a bare kRollback from any SMI. It now demands the
+// unit's rollback token, which only the enclave holds, and records the
+// stray request as a forgery.
+TEST(AdversaryRegression, StrayRollbackSmiIsRefusedNotSilent) {
+  AdversarySchedule sched;
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                          AdversaryTrigger::kPreSmi,
+                                          /*param=*/2u << 8, /*value=*/3});
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kSmiDuplicate,
+                                          AdversaryTrigger::kOnOutcome, 0, 0});
+  EXPECT_EQ(sched.encode(), campaign_item(1, 5700).encode());
+  core::PatchReport rep = expect_prevented_or_detected(sched, 2);
+  EXPECT_TRUE(rep.success);
+  EXPECT_TRUE(rep.detections.has(DetectionClass::kRollbackForgery))
+      << rep.detections.to_string();
+}
 
-  auto t = boot();
-  const Bytes pre_patch = image(*t);
-  AsyncAdversary adv(t->machine(), t->kshot(), t->layout(), sched);
-  adv.attach();
-  auto rep = t->kshot().live_patch("CVE-2014-0196");
-  adv.detach();
-  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
-  ASSERT_EQ(adv.actions_fired(), 2u);
-  EXPECT_TRUE(rep->success || rep->detections.any())
-      << core::smm_status_name(rep->smm_status);
-
-  // Memory outside SMRAM, the mailbox page and mem_W equals the no-attack
-  // image when the run reports success, the pre-patch image when it fails.
-  const auto& lay = t->layout();
-  const machine::MemWindow win(
-      0, lay.epc_base,
-      {{lay.smram_base, lay.smram_base + lay.smram_size},
-       {lay.mem_rw_base(), lay.mem_rw_base() + lay.mem_rw_size},
-       {lay.mem_w_base(), lay.mem_w_base() + lay.mem_w_size}});
-  auto at = win.first_difference(image(*t),
-                                 rep->success ? no_attack : pre_patch);
-  EXPECT_FALSE(at.has_value())
-      << (rep->success ? "no-attack" : "pre-patch") << " image differs at 0x"
-      << std::hex << *at;
-  if (rep->success) {
-    auto exploit = t->run_exploit();
-    ASSERT_TRUE(exploit.is_ok());
-    EXPECT_FALSE(exploit->oops);
+// Two duplicated SMIs at staging: the first, flipped to kApplyPatch, applies
+// the staged package; the second, flipped to kBeginSession, re-keys. The
+// helper's apply then fails authentication rather than finding no session,
+// and trusting that rejection reported failure with the trampoline live.
+// The helper now counts the SMIs it did not issue (mailbox heartbeat) and
+// confirms any later rejection through kQueryApplied.
+TEST(AdversaryRegression, ReKeyingDuplicateSmisArePreventedNotSilent) {
+  AdversarySchedule sched;
+  for (int i = 0; i < 2; ++i) {
+    sched.actions.push_back(AdversaryAction{AdversaryVariant::kSmiDuplicate,
+                                            AdversaryTrigger::kOnStaged, 0, 0});
   }
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                          AdversaryTrigger::kPreSmi,
+                                          /*param=*/1u << 8, /*value=*/2});
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                          AdversaryTrigger::kPreSmi,
+                                          /*param=*/2u << 8, /*value=*/1});
+  core::PatchReport rep = expect_prevented_or_detected(sched, 4);
+  EXPECT_TRUE(rep.success) << core::smm_status_name(rep.smm_status);
 }
 
 // ---- Introspection repairs are loud now --------------------------------------

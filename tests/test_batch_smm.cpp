@@ -180,8 +180,8 @@ TEST(BatchSession, MidBatchFailureLeavesMemoryByteIdentical) {
   ASSERT_TRUE(mbox.write_enclave_pub(keys.public_key).is_ok());
   ASSERT_TRUE(mbox.write_staged_size(sealed.size()).is_ok());
 
-  Bytes snapshot(m.mem().raw(0, lay.mem_bytes),
-                 m.mem().raw(0, lay.mem_bytes) + lay.mem_bytes);
+  machine::MemImage snapshot;
+  snapshot.capture(m.mem(), 0, lay.mem_bytes);
 
   ASSERT_TRUE(mbox.write_command(SmmCommand::kApplyBatch).is_ok());
   m.trigger_smi();
@@ -194,8 +194,7 @@ TEST(BatchSession, MidBatchFailureLeavesMemoryByteIdentical) {
       0, lay.mem_bytes,
       {{lay.smram_base, lay.smram_base + lay.smram_size},
        {lay.mem_rw_base(), lay.mem_rw_base() + lay.mem_rw_size}});
-  auto at = outside_smm_scratch.first_difference(
-      ByteSpan(m.mem().raw(0, lay.mem_bytes), lay.mem_bytes), snapshot);
+  auto at = outside_smm_scratch.first_difference(m.mem(), snapshot);
   EXPECT_FALSE(at.has_value()) << "memory differs at 0x" << std::hex << *at;
 }
 

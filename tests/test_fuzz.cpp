@@ -104,6 +104,30 @@ TEST(FuzzSelftest, CatchesReintroducedWrappingBoundsBug) {
   EXPECT_LE(best_entry_bytes, 64u) << rep.to_string();
 }
 
+// The dirtied-pages oracle is live: a write racing the apply SMI into a page
+// no package declares trips it, even though it rewrites the byte with its
+// own value and so leaves every memory compare clean.
+TEST(FuzzSelftest, DirtyPageOracleCatchesAnUndeclaredUnchangedWrite) {
+  auto stray = make_package_surface({.stray_smm_write = true});
+  auto clean = make_package_surface({});
+  size_t tripped = 0;
+  for (const auto& [name, wire] : seed_package_cases()) {
+    auto ok = clean->execute(wire);
+    EXPECT_FALSE(ok.failure.has_value()) << name << ": " << ok.failure->second;
+    auto v = stray->execute(wire);
+    if (!v.failure) continue;
+    ++tripped;
+    EXPECT_EQ(v.failure->first, "smm-dirty-pages") << name;
+    EXPECT_NE(v.failure->second.find("undeclared page 0x147000"),
+              std::string::npos)
+        << v.failure->second;
+    // Nothing else noticed: the verdict and digest match the clean run.
+    EXPECT_EQ(v.kind, ok.kind) << name;
+    EXPECT_EQ(v.state_digest, ok.state_digest) << name;
+  }
+  EXPECT_GE(tripped, 3u);
+}
+
 TEST(FuzzShrinker, ShrinksWhilePreservingTheOracle) {
   auto s = make_package_surface({.legacy_wrapping_bounds = true});
   // The PR 3 wrapping-taddr regression wire, padded with an extra valid

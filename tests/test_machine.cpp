@@ -471,6 +471,131 @@ TEST(SmmRendezvous, JitterIsSeedDeterministic) {
   EXPECT_NE(run(7), run(8));  // jitter stream actually depends on the seed
 }
 
+// ---- Written-page tracking --------------------------------------------------
+
+std::vector<u64> written_pages(const PhysMem& mem) {
+  std::vector<u64> out;
+  for (u64 p = 0; p < mem.page_count(); ++p) {
+    if (mem.page_written(p)) out.push_back(p);
+  }
+  return out;
+}
+
+TEST(PhysMem, FreshMemoryHasNoWrittenPages) {
+  PhysMem mem(5 * kPageSize + 300);
+  EXPECT_EQ(mem.page_count(), 6u);
+  EXPECT_TRUE(written_pages(mem).empty());
+  EXPECT_EQ(mem.generation(), 1u);
+}
+
+TEST(PhysMem, MutationsStampTheirPagesAndReadsStampNone) {
+  PhysMem mem(8 * kPageSize);
+  const auto mode = AccessMode::normal();
+  const PhysMem& view = mem;
+
+  // Reads of every kind, through the const view and the mutable object.
+  Bytes out(3 * kPageSize);
+  ASSERT_TRUE(mem.read(0, MutByteSpan(out), mode).is_ok());
+  ASSERT_TRUE(mem.read_bytes(kPageSize, 64, mode).is_ok());
+  ASSERT_TRUE(mem.read_u64(2 * kPageSize, mode).is_ok());
+  ASSERT_TRUE(mem.fetch(3 * kPageSize, 16, MutByteSpan(out), mode).is_ok());
+  (void)view.raw(0, 8 * kPageSize);
+  EXPECT_TRUE(written_pages(mem).empty());
+
+  // write() across a page boundary stamps both pages.
+  Bytes two(8, 0x11);
+  ASSERT_TRUE(mem.write(2 * kPageSize - 4, two, mode).is_ok());
+  EXPECT_EQ(written_pages(mem), (std::vector<u64>{1, 2}));
+  EXPECT_EQ(mem.page_generation(1), 1u);
+
+  mem.next_generation();
+  ASSERT_TRUE(mem.write_u64(5 * kPageSize + 8, 0, mode).is_ok());
+  EXPECT_EQ(mem.page_generation(5), 2u);
+  EXPECT_EQ(mem.page_generation(1), 1u);
+
+  // The mutable raw() counts as a write of its whole range, even unused.
+  mem.next_generation();
+  (void)mem.raw(6 * kPageSize + 10, kPageSize);
+  EXPECT_EQ(written_pages(mem), (std::vector<u64>{1, 2, 5, 6, 7}));
+  EXPECT_EQ(mem.page_generation(7), 3u);
+
+  // Failed and empty writes stamp nothing.
+  mem.next_generation();
+  EXPECT_FALSE(mem.write(8 * kPageSize - 2, two, mode).is_ok());
+  ASSERT_TRUE(mem.write(0, ByteSpan(), mode).is_ok());
+  (void)mem.raw(0, 0);
+  EXPECT_EQ(written_pages(mem), (std::vector<u64>{1, 2, 5, 6, 7}));
+}
+
+TEST(Smm, SmiWritesCarryTheirOwnGeneration) {
+  Machine m = make_machine();
+  const auto mode = AccessMode::normal();
+  ASSERT_TRUE(m.mem().write(0x1000, Bytes{1}, mode).is_ok());
+  ASSERT_TRUE(m.set_smm_handler([](Machine& mm) {
+                 ASSERT_TRUE(
+                     mm.mem().write(0x3000, Bytes{2}, AccessMode::smm()).is_ok());
+               }).is_ok());
+  EXPECT_EQ(m.last_smi_generation(), 0u);
+  m.trigger_smi();
+  ASSERT_TRUE(m.mem().write(0x5000, Bytes{3}, mode).is_ok());
+  const u32 g = m.last_smi_generation();
+  EXPECT_NE(g, 0u);
+  EXPECT_EQ(m.mem().page_generation(3), g);
+  EXPECT_NE(m.mem().page_generation(1), g);  // before the SMI
+  EXPECT_NE(m.mem().page_generation(5), g);  // after RSM
+  // The save state is an SMI write too (SMRAM).
+  EXPECT_EQ(m.mem().page_generation((kSmramBase + kSaveStateOffset) / kPageSize),
+            g);
+}
+
+// ---- MemImage ----------------------------------------------------------------
+
+TEST(MemImage, RoundTrips) {
+  PhysMem mem(6 * kPageSize + 100);  // partial last page
+  const auto mode = AccessMode::normal();
+  Rng rng(0x1A6E);
+  for (int k = 0; k < 20; ++k) {
+    u64 at = rng.next_below(mem.size() - 64);
+    ASSERT_TRUE(mem.write(at, rng.next_bytes(1 + rng.next_below(64)), mode)
+                    .is_ok());
+  }
+  const PhysMem& view = mem;
+
+  MemImage img;
+  img.capture(mem, 0, mem.size());
+  EXPECT_EQ(img.pages(), written_pages(mem));
+  for (u64 a = 0; a < mem.size(); ++a) {
+    ASSERT_EQ(img.byte_at(a), *view.raw(a, 1)) << a;
+  }
+
+  // A sub-range captures only the written pages it overlaps.
+  img.capture(mem, kPageSize + 1, 3 * kPageSize);
+  for (u64 p : img.pages()) {
+    EXPECT_TRUE(p == 1 || p == 2) << p;
+    EXPECT_TRUE(mem.page_written(p));
+  }
+
+  // write() adds zero pages as needed, in order, and spans page breaks.
+  MemImage w;
+  EXPECT_EQ(w.byte_at(12345), 0);
+  EXPECT_EQ(w.page(3), nullptr);
+  Bytes run = rng.next_bytes(kPageSize + 10);
+  w.write(4 * kPageSize - 5, run);
+  w.write(10, Bytes{0xEE});
+  EXPECT_EQ(w.pages(), (std::vector<u64>{0, 3, 4, 5}));
+  for (size_t i = 0; i < run.size(); ++i) {
+    ASSERT_EQ(w.byte_at(4 * kPageSize - 5 + i), run[i]) << i;
+  }
+  EXPECT_EQ(w.byte_at(10), 0xEE);
+  EXPECT_EQ(w.byte_at(11), 0);
+  EXPECT_EQ(w.byte_at(4 * kPageSize - 6), 0);
+
+  // Capturing never-written memory holds nothing and reuses the storage.
+  PhysMem fresh(4 * kPageSize);
+  w.capture(fresh, 0, fresh.size());
+  EXPECT_TRUE(w.pages().empty());
+}
+
 // ---- MemWindow: the range primitive behind the full-memory oracles -------
 
 /// Per-byte reference: the window is [lo, hi) minus every exclusion.
@@ -479,6 +604,42 @@ bool naive_excluded(const std::vector<MemWindow::Range>& ex, u64 i) {
     if (i >= r.begin && i < r.end) return true;
   }
   return false;
+}
+
+/// A dense copy of all of `mem`.
+Bytes dense(const PhysMem& mem) {
+  const u8* p = mem.raw(0, mem.size());
+  return Bytes(p, p + mem.size());
+}
+
+/// The sparse encoding hash_into promises, computed from a dense copy: per
+/// window range, every page-clipped chunk holding a nonzero byte as
+/// u64 addr LE || u32 len LE || bytes.
+Bytes reference_encoding(const MemWindow& w, const Bytes& image) {
+  Bytes out;
+  for (const auto& r : w.ranges()) {
+    for (u64 a = r.begin; a < r.end;) {
+      u64 b = std::min<u64>(r.end, (a / kPageSize + 1) * kPageSize);
+      if (std::any_of(image.begin() + static_cast<std::ptrdiff_t>(a),
+                      image.begin() + static_cast<std::ptrdiff_t>(b),
+                      [](u8 x) { return x != 0; })) {
+        for (int k = 0; k < 8; ++k) out.push_back(static_cast<u8>(a >> (8 * k)));
+        for (int k = 0; k < 4; ++k) {
+          out.push_back(static_cast<u8>((b - a) >> (8 * k)));
+        }
+        out.insert(out.end(), image.begin() + static_cast<std::ptrdiff_t>(a),
+                   image.begin() + static_cast<std::ptrdiff_t>(b));
+      }
+      a = b;
+    }
+  }
+  return out;
+}
+
+crypto::Digest256 window_digest(const MemWindow& w, const PhysMem& mem) {
+  crypto::Sha256 h;
+  w.hash_into(h, mem);
+  return h.finish();
 }
 
 TEST(MemWindow, EdgeWindowsAndExclusions) {
@@ -501,14 +662,55 @@ TEST(MemWindow, EdgeWindowsAndExclusions) {
                                        R{60, 50}, R{70, 70}})),
             (V{{15, 90}}));
   EXPECT_EQ(ranges(MemWindow(10, 100, {R{0, 1000}})), V{});
+
+  // Empty windows compare and digest nothing.
+  PhysMem mem(2 * kPageSize);
+  ASSERT_TRUE(mem.write(0, Bytes{1, 2, 3}, AccessMode::normal()).is_ok());
+  MemImage none;
+  EXPECT_FALSE(MemWindow(10, 10).first_difference(mem, none).has_value());
+  EXPECT_EQ(window_digest(MemWindow(20, 10), mem), crypto::sha256(Bytes{}));
 }
 
 TEST(MemWindow, MatchesPerByteReferenceOnRandomExclusionSets) {
-  constexpr size_t kImage = 4096;
+  // Sparse compare and digest against dense per-byte references, over
+  // random writes (zeros over written pages included), random expected
+  // images that hold pages the live memory never wrote and vice versa, and
+  // random exclusion sets.
+  constexpr size_t kPages = 6;
+  constexpr size_t kImage = kPages * kPageSize;
+  const auto mode = AccessMode::normal();
   Rng rng(0x3E3);
-  for (int iter = 0; iter < 400; ++iter) {
+  for (int iter = 0; iter < 200; ++iter) {
+    PhysMem cur(kImage);
+    PhysMem exp(kImage);
+    size_t nwrites = rng.next_below(8);
+    for (size_t k = 0; k < nwrites; ++k) {
+      u64 at = rng.next_below(kImage - 1);
+      size_t n = 1 + rng.next_below(std::min<u64>(600, kImage - at - 1));
+      Bytes data = rng.next_below(3) == 0 ? Bytes(n, 0) : rng.next_bytes(n);
+      ASSERT_TRUE(cur.write(at, data, mode).is_ok());
+      ASSERT_TRUE(exp.write(at, data, mode).is_ok());
+    }
+    // Differences: flips of exp only (possibly in pages cur never wrote),
+    // and writes to cur only (possibly of zeros, which change nothing).
+    for (size_t k = rng.next_below(4); k > 0; --k) {
+      u64 at = rng.next_below(kImage);
+      u8 b = static_cast<u8>(*static_cast<const PhysMem&>(exp).raw(at, 1) ^
+                             (1 + rng.next_below(255)));
+      ASSERT_TRUE(exp.write(at, Bytes{b}, mode).is_ok());
+    }
+    for (size_t k = rng.next_below(3); k > 0; --k) {
+      u64 at = rng.next_below(kImage - 16);
+      Bytes data = rng.next_below(2) ? Bytes(16, 0) : rng.next_bytes(16);
+      ASSERT_TRUE(cur.write(at, data, mode).is_ok());
+    }
+
     u64 lo = rng.next_below(kImage);
     u64 hi = rng.next_below(5) == 0 ? lo : rng.next_below(kImage + 1);
+    if (rng.next_below(4) == 0) {
+      lo = 0;
+      hi = kImage;
+    }
     std::vector<MemWindow::Range> ex;
     size_t nex = rng.next_below(7);
     for (size_t k = 0; k < nex; ++k) {
@@ -521,26 +723,33 @@ TEST(MemWindow, MatchesPerByteReferenceOnRandomExclusionSets) {
     }
     MemWindow w(lo, hi, ex);
 
-    Bytes cur = rng.next_bytes(kImage);
-    Bytes expected = cur;
-    size_t nflip = rng.next_below(4);
-    for (size_t k = 0; k < nflip; ++k) {
-      expected[rng.next_below(kImage)] ^= static_cast<u8>(1 + rng.next_below(255));
-    }
-
+    const Bytes dcur = dense(cur);
+    const Bytes dexp = dense(exp);
     std::optional<u64> want;
-    Bytes concat;
-    for (u64 i = lo; i < hi; ++i) {
-      if (naive_excluded(ex, i)) continue;
-      concat.push_back(cur[i]);
-      if (!want && cur[i] != expected[i]) want = i;
+    for (u64 i = lo; i < hi && !want; ++i) {
+      if (!naive_excluded(ex, i) && dcur[i] != dexp[i]) want = i;
     }
-    EXPECT_EQ(w.first_difference(cur, expected), want) << "iter " << iter;
-    EXPECT_FALSE(w.first_difference(cur, cur).has_value());
+    MemImage image;
+    image.capture(exp, 0, kImage);
+    EXPECT_EQ(w.first_difference(cur, image), want) << "iter " << iter;
+    MemImage self;
+    self.capture(cur, 0, kImage);
+    EXPECT_FALSE(w.first_difference(cur, self).has_value()) << iter;
 
-    crypto::Sha256 h;
-    w.hash_into(h, cur);
-    EXPECT_EQ(h.finish(), crypto::sha256(concat)) << "iter " << iter;
+    EXPECT_EQ(window_digest(w, cur),
+              crypto::sha256(reference_encoding(w, dcur)))
+        << "iter " << iter;
+
+    // Content-defined: memory holding the same bytes but written once, with
+    // no zero pages, digests and compares identically.
+    PhysMem clean(kImage);
+    for (u64 i = 0; i < kImage; ++i) {
+      if (dcur[i] != 0) {
+        ASSERT_TRUE(clean.write(i, Bytes{dcur[i]}, mode).is_ok());
+      }
+    }
+    EXPECT_EQ(window_digest(w, clean), window_digest(w, cur)) << iter;
+    EXPECT_FALSE(w.first_difference(clean, self).has_value()) << iter;
 
     // The ranges are sorted, disjoint and non-empty.
     u64 prev_end = 0;
@@ -553,23 +762,57 @@ TEST(MemWindow, MatchesPerByteReferenceOnRandomExclusionSets) {
 }
 
 TEST(MemWindow, HashContinuesTheCallersStream) {
-  // A digest prefix, the window's ranges and a suffix fed to one Sha256
-  // equal the one-shot hash of the three concatenated.
+  // A digest prefix, the window's sparse encoding and a suffix fed to one
+  // Sha256 equal the one-shot hash of the three concatenated.
+  PhysMem mem(3 * kPageSize);
   Rng rng(7);
-  Bytes image = rng.next_bytes(8192);
+  ASSERT_TRUE(mem.write(0, rng.next_bytes(3 * kPageSize), AccessMode::normal())
+                  .is_ok());
   MemWindow w(100, 8000, {{1000, 2000}, {4096, 4097}});
   Bytes prefix = {1, 2, 3}, suffix = {9, 8};
   Bytes all = prefix;
-  for (const auto& r : w.ranges()) {
-    all.insert(all.end(), image.begin() + static_cast<std::ptrdiff_t>(r.begin),
-               image.begin() + static_cast<std::ptrdiff_t>(r.end));
-  }
+  Bytes enc = reference_encoding(w, dense(mem));
+  all.insert(all.end(), enc.begin(), enc.end());
   all.insert(all.end(), suffix.begin(), suffix.end());
   crypto::Sha256 h;
   h.update(prefix);
-  w.hash_into(h, image);
+  w.hash_into(h, mem);
   h.update(suffix);
   EXPECT_EQ(h.finish(), crypto::sha256(all));
+}
+
+TEST(MemWindow, FirstUndeclaredPageFlagsOnlyUnlistedWritesOfThatGeneration) {
+  PhysMem mem(8 * kPageSize);
+  const auto mode = AccessMode::normal();
+  ASSERT_TRUE(mem.write(0x10, Bytes{1}, mode).is_ok());  // older generation
+  mem.next_generation();
+  const u32 g = mem.generation();
+  ASSERT_TRUE(mem.write(2 * kPageSize + 8, Bytes{0, 0, 0, 0}, mode).is_ok());
+  ASSERT_TRUE(mem.write(5 * kPageSize - 2, Bytes{7, 7, 7, 7}, mode).is_ok());
+  MemWindow w(0, 8 * kPageSize, {{6 * kPageSize, 7 * kPageSize}});
+  using R = MemWindow::Range;
+
+  // Declared byte ranges cover a page if they overlap it anywhere.
+  EXPECT_FALSE(w.first_undeclared_page(
+                    mem, g, {R{2 * kPageSize + 8, 2 * kPageSize + 12},
+                             R{5 * kPageSize - 2, 5 * kPageSize + 2}})
+                   .has_value());
+  // The write straddling pages 4 and 5 needs both declared.
+  EXPECT_EQ(w.first_undeclared_page(
+                mem, g, {R{2 * kPageSize, 2 * kPageSize + 1},
+                         R{5 * kPageSize, 5 * kPageSize + 2}}),
+            std::optional<u64>(4 * kPageSize));
+  // An undeclared write of unchanged (zero) bytes still trips.
+  EXPECT_EQ(w.first_undeclared_page(mem, g, {R{4 * kPageSize, 6 * kPageSize}}),
+            std::optional<u64>(2 * kPageSize));
+  // Other generations and excluded pages are not this SMI's business.
+  ASSERT_TRUE(mem.write(6 * kPageSize, Bytes{9}, mode).is_ok());
+  EXPECT_FALSE(w.first_undeclared_page(mem, g,
+                                       {R{2 * kPageSize, 6 * kPageSize}})
+                   .has_value());
+  EXPECT_FALSE(w.first_undeclared_page(mem, g - 1,
+                                       {R{0, 1}})
+                   .has_value());
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 #include "core/mailbox.hpp"
 #include "core/smm_handler.hpp"
 #include "crypto/aead.hpp"
+#include "crypto/simple_hash.hpp"
 #include "crypto/x25519.hpp"
+#include "machine/mem_window.hpp"
 #include "patchtool/package.hpp"
 #include "testbed/testbed.hpp"
 
@@ -386,12 +388,33 @@ struct SmmRig {
     m.trigger_smi();
     auto st = mbox.read_status();
     EXPECT_TRUE(st.is_ok());
+    if (st.is_ok() && *st == core::SmmStatus::kOk) {
+      tokens.push_back(
+          core::rollback_token(ByteSpan(shared.data(), shared.size()), 0));
+    }
     return st.is_ok() ? *st : core::SmmStatus::kOk;
+  }
+
+  /// kRollback presenting the newest delivered unit's token (zeros when
+  /// nothing was delivered), as the enclave would; returns the status word.
+  core::SmmStatus rollback() {
+    core::Mailbox mbox(m.mem(), lay.mem_rw_base(),
+                       machine::AccessMode::normal());
+    EXPECT_TRUE(mbox.write_rollback_token(tokens.empty() ? core::RollbackToken{}
+                                                         : tokens.back())
+                    .is_ok());
+    EXPECT_TRUE(mbox.write_command(core::SmmCommand::kRollback).is_ok());
+    m.trigger_smi();
+    auto st = mbox.read_status();
+    EXPECT_TRUE(st.is_ok());
+    if (st.is_ok() && *st == core::SmmStatus::kOk) tokens.pop_back();
+    return st.is_ok() ? *st : core::SmmStatus::kBadCommand;
   }
 
   kernel::MemoryLayout lay;
   machine::Machine m;
   core::SmmPatchHandler handler;
+  std::vector<core::RollbackToken> tokens;  // applied units, oldest first
 };
 
 patchtool::FunctionPatch make_entry(const char* name, u64 taddr, u64 paddr,
@@ -604,13 +627,7 @@ TEST(MaliciousPackage, RollbackAfterPartialTrampolineFailure) {
       patchtool::serialize_patchset(set, patchtool::PatchOp::kPatch));
   EXPECT_EQ(st, core::SmmStatus::kBadPackage);
 
-  core::Mailbox mbox(rig.m.mem(), lay.mem_rw_base(),
-                     machine::AccessMode::normal());
-  ASSERT_TRUE(mbox.write_command(core::SmmCommand::kRollback).is_ok());
-  rig.m.trigger_smi();
-  auto rb = mbox.read_status();
-  ASSERT_TRUE(rb.is_ok());
-  EXPECT_EQ(*rb, core::SmmStatus::kNothingToRollback);
+  EXPECT_EQ(rig.rollback(), core::SmmStatus::kNothingToRollback);
   EXPECT_EQ(kernel_state(rig), pre)
       << "rollback after a failed apply modified kernel-owned bytes";
 }
@@ -648,18 +665,75 @@ TEST(MaliciousPackage, FailedApplyDoesNotDisturbPriorRollbackUnit) {
             core::SmmStatus::kBadPackage);
   EXPECT_EQ(rig.handler.patches_applied(), 1u);
 
-  core::Mailbox mbox(rig.m.mem(), lay.mem_rw_base(),
-                     machine::AccessMode::normal());
-  ASSERT_TRUE(mbox.write_command(core::SmmCommand::kRollback).is_ok());
-  rig.m.trigger_smi();
-  auto rb = mbox.read_status();
-  ASSERT_TRUE(rb.is_ok());
-  EXPECT_EQ(*rb, core::SmmStatus::kOk);
+  EXPECT_EQ(rig.rollback(), core::SmmStatus::kOk);
   auto text = rig.m.mem().read_bytes(lay.text_base, entry_bytes.size(), mode);
   ASSERT_TRUE(text.is_ok());
   EXPECT_EQ(*text, entry_bytes);
   EXPECT_EQ(kernel_state(rig), pre)
       << "rollback did not restore the pre-apply snapshot";
+}
+
+// ---- Rollback authority --------------------------------------------------------
+
+// SMM used to honour a bare kRollback or kRevertPatch from any SMI, so a
+// compromised kernel could silently undo a patch the operator believes is
+// applied. Both now need the unit's rollback token, which the enclave and
+// SMM derive from the apply session and the kernel never sees before the
+// legitimate rollback spends it.
+TEST(RollbackAuthority, KernelRaisedRollbackIsRefusedDetectedAndHarmless) {
+  auto t = boot();
+  const auto& lay = t->layout();
+  auto patch = t->kshot().live_patch("CVE-2014-0196");
+  ASSERT_TRUE(patch.is_ok() && patch->success);
+  (void)t->kshot().take_detections();
+
+  const machine::MemWindow outside_smm_scratch(
+      0, lay.epc_base,
+      {{lay.smram_base, lay.smram_base + lay.smram_size},
+       {lay.mem_rw_base(), lay.mem_rw_base() + lay.mem_rw_size}});
+  machine::MemImage patched;
+  patched.capture(t->machine().mem(), 0, lay.epc_base);
+
+  core::Mailbox mbox(t->machine().mem(), lay.mem_rw_base(),
+                     machine::AccessMode::normal());
+  auto raise = [&](core::SmmCommand cmd) {
+    EXPECT_TRUE(mbox.write_command(cmd).is_ok());
+    t->machine().trigger_smi();
+    return mbox.read_status().value_or(core::SmmStatus::kOk);
+  };
+  EXPECT_EQ(raise(core::SmmCommand::kRollback),
+            core::SmmStatus::kRollbackDenied);
+  ASSERT_TRUE(mbox.write_revert_target(crypto::sdbm(to_bytes(
+                                           std::string("CVE-2014-0196"))))
+                  .is_ok());
+  EXPECT_EQ(raise(core::SmmCommand::kRevertPatch),
+            core::SmmStatus::kRollbackDenied);
+  auto at = outside_smm_scratch.first_difference(t->machine().mem(), patched);
+  EXPECT_FALSE(at.has_value()) << "refused rollback wrote 0x" << std::hex
+                               << *at;
+  auto det = t->kshot().take_detections();
+  EXPECT_TRUE(det.has(core::DetectionClass::kRollbackForgery))
+      << det.to_string();
+  EXPECT_EQ(det.events.size(), 2u) << det.to_string();
+  auto exploit = t->run_exploit();
+  ASSERT_TRUE(exploit.is_ok());
+  EXPECT_FALSE(exploit->oops) << "patch no longer in force";
+
+  // The operator's rollback presents the token and succeeds.
+  auto rb = t->kshot().rollback();
+  ASSERT_TRUE(rb.is_ok());
+  EXPECT_EQ(rb->smm_status, core::SmmStatus::kOk);
+  exploit = t->run_exploit();
+  ASSERT_TRUE(exploit.is_ok());
+  EXPECT_TRUE(exploit->oops);
+
+  // The spent token left in the mailbox opens nothing: the re-applied
+  // patch is a new unit with a new token.
+  patch = t->kshot().live_patch("CVE-2014-0196");
+  ASSERT_TRUE(patch.is_ok() && patch->success);
+  EXPECT_EQ(raise(core::SmmCommand::kRollback),
+            core::SmmStatus::kRollbackDenied);
+  EXPECT_TRUE(t->kshot().rollback()->success);
 }
 
 // ---- SMRAM lock ----------------------------------------------------------------

@@ -39,8 +39,8 @@
 //       --write-corpus DIR   write the canonical seed corpus and exit
 //       --replay FILE  re-execute one corpus file (needs --surface)
 //       --selftest     re-open the fixed seams (wrapping bounds, TOCTOU
-//                      double fetch, mis-planted synth guard) and prove
-//                      the oracles catch all three
+//                      double fetch, undeclared SMM write, mis-planted
+//                      synth guard) and prove the oracles catch all four
 //
 //   kshot-sim attack [flags]               seeded async-adversary campaign
 //       --schedule-seed S  base seed for the schedule generator
@@ -658,8 +658,10 @@ int cmd_fuzz(const FuzzCliOptions& o) {
     // Re-introduce each fixed bug class in the target and prove the oracles
     // catch it with a small shrunk repro: the pre-fix wrapping bounds check
     // (package surface), the pre-hardening TOCTOU double fetch
-    // (attacker_schedule surface), and an off-by-one mis-planted guard in
-    // the CVE synthesizer (cve_synth surface, probe-contract oracle).
+    // (attacker_schedule surface), a same-value write racing the apply SMI
+    // into an undeclared page (package surface, dirtied-pages oracle), and
+    // an off-by-one mis-planted guard in the CVE synthesizer (cve_synth
+    // surface, probe-contract oracle).
     struct Seam {
       const char* what;
       std::unique_ptr<fuzz::Surface> surface;
@@ -671,6 +673,8 @@ int cmd_fuzz(const FuzzCliOptions& o) {
     seams.push_back({"double-fetch TOCTOU bug",
                      fuzz::make_attacker_schedule_surface(
                          {.legacy_double_fetch = true})});
+    seams.push_back({"undeclared SMM write",
+                     fuzz::make_package_surface({.stray_smm_write = true})});
     seams.push_back({"mis-planted synth guard",
                      fuzz::make_cve_synth_surface(
                          {.misplant_off_by_one = true})});

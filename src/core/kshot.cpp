@@ -207,8 +207,7 @@ Result<SmmStatus> Kshot::trigger_and_status(SmmCommand cmd) {
 }
 
 Result<double> Kshot::fetch_once(const std::string& patch_id) {
-  auto request = enclave_->begin_fetch(patch_id,
-                                       netsim::PatchRequest::Op::kFetchPatch);
+  auto request = enclave_->begin_fetch(patch_id);
   if (!request) return request.status();
   Bytes req_wire = channel_.transfer(std::move(*request));
   double link_us = channel_.last_latency_us();

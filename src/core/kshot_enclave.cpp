@@ -79,10 +79,9 @@ Status KshotEnclave::initialize(const ReservedGeometry& geom) {
   return r.is_ok() ? Status::ok() : r.status();
 }
 
-Result<Bytes> KshotEnclave::begin_fetch(const std::string& patch_id,
-                                        netsim::PatchRequest::Op op) {
+Result<Bytes> KshotEnclave::begin_fetch(const std::string& patch_id) {
   ByteWriter w;
-  w.put_u8(static_cast<u8>(op));
+  w.put_u8(static_cast<u8>(netsim::PatchRequest::Op::kFetchPatch));
   w.put_bytes(to_bytes(patch_id));
   return ecall(kEcallBeginFetch, w.bytes());
 }
@@ -293,7 +292,7 @@ Result<Bytes> KshotEnclave::do_begin_fetch(ByteSpan input) {
   }
   ByteReader r(input);
   auto op = r.get_u8();
-  if (!op || (*op != 1 && *op != 2)) {
+  if (!op || *op != static_cast<u8>(netsim::PatchRequest::Op::kFetchPatch)) {
     return Status{Errc::kInvalidArgument, "bad fetch op"};
   }
   auto id_bytes = r.get_bytes(r.remaining());
@@ -364,9 +363,6 @@ Result<Bytes> KshotEnclave::do_preprocess() {
   auto set_r = patchtool::parse_patchset(*raw);
   if (!set_r) return set_r.status();
   patchtool::PatchSet set = std::move(*set_r);
-  patchtool::PatchOp op = set.patches.empty()
-                              ? patchtool::PatchOp::kPatch
-                              : set.patches[0].op;
 
   // 0. Consume pending lifecycle directives (single-shot): stamp the
   //    depends/supersedes lists, and mark as in-place splices the functions
@@ -485,7 +481,8 @@ Result<Bytes> KshotEnclave::do_preprocess() {
     p.relocs.clear();  // fixups are baked into the code now
   }
 
-  Bytes processed = patchtool::serialize_patchset(set, op);
+  Bytes processed =
+      patchtool::serialize_patchset(set, patchtool::PatchOp::kPatch);
   KSHOT_RETURN_IF_ERROR(store_package(kProcessedRegion, processed));
   processed_size_ = processed.size();
   processed_unit_ = UnitInfo{set.id, set.supersedes, {}};

@@ -80,8 +80,7 @@ class KshotEnclave final : public sgx::Enclave {
 
   /// Typed wrappers over ecall() for the helper application.
   Status initialize(const ReservedGeometry& geom);
-  Result<Bytes> begin_fetch(const std::string& patch_id,
-                            netsim::PatchRequest::Op op);
+  Result<Bytes> begin_fetch(const std::string& patch_id);
   Result<PackageStats> finish_fetch(ByteSpan response_wire);
   Result<PackageStats> preprocess();
   /// Returns enclave_pub(32) || sealed package wire.

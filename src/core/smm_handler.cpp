@@ -173,11 +173,11 @@ void SmmPatchHandler::on_smi(machine::Machine& m) {
           break;
         case SmmCommand::kApplyPatch:
           cmd_name = "apply_patch";
-          mbox.write_status(apply_patch(m, mbox, snap));
+          mbox.write_status(apply_staged(m, mbox, snap, /*batch=*/false));
           break;
         case SmmCommand::kApplyBatch:
           cmd_name = "apply_batch";
-          mbox.write_status(apply_batch(m, mbox, snap));
+          mbox.write_status(apply_staged(m, mbox, snap, /*batch=*/true));
           break;
         case SmmCommand::kStageChunk:
           cmd_name = "stage_chunk";
@@ -185,7 +185,7 @@ void SmmPatchHandler::on_smi(machine::Machine& m) {
           break;
         case SmmCommand::kRollback:
           cmd_name = "rollback";
-          mbox.write_status(rollback(m, &snap.rollback_token));
+          mbox.write_status(rollback(m, snap.rollback_token));
           break;
         case SmmCommand::kRevertPatch:
           cmd_name = "revert_patch";
@@ -368,359 +368,202 @@ SmmStatus SmmPatchHandler::decrypt_staged(
       crypto::dh_shared(session_keys_->private_key, snap.enclave_pub);
   crypto::Key256 key = crypto::derive_key(
       ByteSpan(shared.data(), shared.size()), "sgx-smm");
-  if (legacy_copy_parser_) {
-    // Legacy copying pipeline: ciphertext copied out of the envelope, then
-    // the plaintext allocated fresh by the decrypt. Identical statuses,
-    // detections, and modeled charges as below — only the copy count
-    // differs.
-    auto box = crypto::SealedBox::deserialize(*envelope);
-    if (!box) {
-      session_keys_.reset();
-      record_detection(m, replayed ? DetectionClass::kReplay
-                                   : DetectionClass::kMemWRewrite,
-                       SmmStatus::kMacFailure,
-                       "staged bytes do not decode as a sealed envelope");
-      return SmmStatus::kMacFailure;
-    }
-    auto package = crypto::open(key, *box);
-    m.charge_cycles(cost.bytes_cost(cost.decrypt_cycles_per_byte, staged));
-    timings_.decrypt_ns = phase_span(m, "decrypt", c0, t0);
-    if (!package) {
-      session_keys_.reset();
-      emit_instant(m, "mac_failure");
-      record_detection(m, replayed ? DetectionClass::kReplay
-                                   : DetectionClass::kMemWRewrite,
-                       SmmStatus::kMacFailure,
-                       replayed ? "replayed sealed envelope rejected"
-                                : "staged bytes failed authentication");
-      return SmmStatus::kMacFailure;
-    }
-    c_staged_copies_->inc(2);  // deserialize copy-out + open's fresh plaintext
+  auto view = crypto::SealedBoxView::deserialize(
+      MutByteSpan(envelope->data(), envelope->size()));
+  if (!view) {
+    // Undecodable staging is indistinguishable from tampering; burn the
+    // session either way.
     session_keys_.reset();
-    auto owned = std::make_shared<Bytes>(std::move(*package));
-    out_plain = ByteSpan(owned->data(), owned->size());
-    out_retain = std::move(owned);
-  } else {
-    auto view = crypto::SealedBoxView::deserialize(
-        MutByteSpan(envelope->data(), envelope->size()));
-    if (!view) {
-      // Undecodable staging is indistinguishable from tampering; burn the
-      // session either way.
-      session_keys_.reset();
-      record_detection(m, replayed ? DetectionClass::kReplay
-                                   : DetectionClass::kMemWRewrite,
-                       SmmStatus::kMacFailure,
-                       "staged bytes do not decode as a sealed envelope");
-      return SmmStatus::kMacFailure;
-    }
-    auto plain = crypto::open_in_place(key, *view);
-    m.charge_cycles(cost.bytes_cost(cost.decrypt_cycles_per_byte, staged));
-    timings_.decrypt_ns = phase_span(m, "decrypt", c0, t0);
-    if (!plain) {
-      // MAC failure: tampered mem_W or a replayed blob from an old session.
-      session_keys_.reset();
-      emit_instant(m, "mac_failure");
-      record_detection(m, replayed ? DetectionClass::kReplay
-                                   : DetectionClass::kMemWRewrite,
-                       SmmStatus::kMacFailure,
-                       replayed ? "replayed sealed envelope rejected"
-                                : "staged bytes failed authentication");
-      return SmmStatus::kMacFailure;
-    }
-
-    out_plain = ByteSpan(plain->data(), plain->size());
-    out_retain = std::move(envelope);
-    // Session keys are single-use: replaying this exact ciphertext later
-    // cannot succeed (paper §V-C).
-    session_keys_.reset();
+    record_detection(m, replayed ? DetectionClass::kReplay
+                                 : DetectionClass::kMemWRewrite,
+                     SmmStatus::kMacFailure,
+                     "staged bytes do not decode as a sealed envelope");
+    return SmmStatus::kMacFailure;
   }
+  auto plain = crypto::open_in_place(key, *view);
+  m.charge_cycles(cost.bytes_cost(cost.decrypt_cycles_per_byte, staged));
+  timings_.decrypt_ns = phase_span(m, "decrypt", c0, t0);
+  // Session keys are single-use: replaying this exact ciphertext later
+  // cannot succeed (paper §V-C).
+  session_keys_.reset();
+  if (!plain) {
+    // MAC failure: tampered mem_W or a replayed blob from an old session.
+    emit_instant(m, "mac_failure");
+    record_detection(m, replayed ? DetectionClass::kReplay
+                                 : DetectionClass::kMemWRewrite,
+                     SmmStatus::kMacFailure,
+                     replayed ? "replayed sealed envelope rejected"
+                              : "staged bytes failed authentication");
+    return SmmStatus::kMacFailure;
+  }
+  out_plain = ByteSpan(plain->data(), plain->size());
+  out_retain = std::move(envelope);
   out_staged = staged;
   out_shared = shared;
   return SmmStatus::kOk;
 }
 
-SmmStatus SmmPatchHandler::apply_patch(machine::Machine& m, Mailbox& mbox,
-                                       const MailboxSnapshot& snap) {
+SmmStatus SmmPatchHandler::apply_staged(machine::Machine& m, Mailbox& mbox,
+                                        const MailboxSnapshot& snap,
+                                        bool batch) {
   std::shared_ptr<const Bytes> retain;
-  ByteSpan package;
+  ByteSpan plain;
   size_t staged = 0;
   crypto::X25519Key shared{};
-  SmmStatus st =
-      decrypt_staged(m, mbox, snap, retain, package, staged, shared);
+  SmmStatus st = decrypt_staged(m, mbox, snap, retain, plain, staged, shared);
   if (st != SmmStatus::kOk) return st;
-  return verify_and_apply(m, retain, package, staged, shared);
-}
-
-SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
-                                       const MailboxSnapshot& snap) {
-  const auto& cost = m.cost_model();
-
-  std::shared_ptr<const Bytes> retain;
-  ByteSpan envelope;
-  size_t staged = 0;
-  crypto::X25519Key shared{};
-  SmmStatus st =
-      decrypt_staged(m, mbox, snap, retain, envelope, staged, shared);
-  if (st != SmmStatus::kOk) return st;
-
-  arena_.reset();
-  std::vector<ByteSpan> pkg_wires;
-  std::vector<Bytes> pkg_copies;  // legacy mode: owned inner wires
-  if (legacy_copy_parser_) {
-    auto pkgs = patchtool::parse_batch(envelope);
-    if (!pkgs) {
-      emit_instant(m, "bad_batch_envelope");
-      return SmmStatus::kBadPackage;
-    }
-    pkg_copies = std::move(*pkgs);
-    c_staged_copies_->inc(pkg_copies.size());  // inner wires copied out
-    pkg_wires.reserve(pkg_copies.size());
-    for (const Bytes& b : pkg_copies) pkg_wires.emplace_back(b.data(), b.size());
-  } else {
-    auto pkgs = patchtool::parse_batch_view(envelope);
-    if (!pkgs) {
-      emit_instant(m, "bad_batch_envelope");
-      return SmmStatus::kBadPackage;
-    }
-    pkg_wires = std::move(*pkgs);
+  if (!batch) {
+    return verify_and_apply(m, retain, plain, std::span(&plain, 1), false,
+                            staged, shared);
   }
-
-  // ---- Verification: every inner package is digest/CRC-checked and parsed
-  //      before anything is applied, charged per package (Table III "Patch
-  //      Verification" scales with bytes, so the batch pays the fixed
-  //      verify cost N times but keygen/SMI entry only once). At >1 CPU the
-  //      per-byte hashing fans out across the rendezvoused CPUs. ----------
-  auto t0 = Clock::now();
-  u64 c0 = m.cycles();
-  std::vector<patchtool::PatchSet> owned_sets;  // legacy: keeps copies alive
-  std::vector<patchtool::PatchSetView> sets;
-  owned_sets.reserve(pkg_wires.size());
-  sets.reserve(pkg_wires.size());
-  u64 verify_cycles = 0;
-  SmmStatus verdict = SmmStatus::kOk;
-  const char* fail_instant = nullptr;
-  // A batch is an apply-only construct: rollback is a per-unit command on
-  // the mailbox, never an inner package. Lifecycle operations (supersede/
-  // depends/splice) are single-package: retiring units mid-batch while
-  // later members still validate against them has no sane all-or-nothing
-  // semantics, so an inner package carrying lifecycle data is rejected
-  // outright.
-  auto check_set = [&](const auto& set) {
-    for (const auto& p : set.patches) {
-      if (p.op == patchtool::PatchOp::kRollback) {
-        verdict = SmmStatus::kBadPackage;
-        fail_instant = "rollback_in_batch";
-        return;
-      }
-    }
-    if (set.has_lifecycle()) {
-      verdict = SmmStatus::kBadPackage;
-      fail_instant = "lifecycle_in_batch";
-    }
-  };
-  for (ByteSpan pkg : pkg_wires) {
-    u64 c = cost.verify_fixed_cycles +
-            parallel_bytes_cost(m, cost.verify_cycles_per_byte, pkg.size());
-    m.charge_cycles(c);
-    verify_cycles += c;
-    if (legacy_copy_parser_) {
-      auto set = patchtool::parse_patchset(pkg);
-      if (!set) {
-        bool digest = set.status().code() == Errc::kIntegrityFailure;
-        verdict = digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
-        fail_instant = digest ? "digest_failure" : "bad_package";
-        break;
-      }
-      check_set(*set);
-      if (verdict != SmmStatus::kOk) break;
-      c_staged_copies_->inc();  // names + code copied out of the wire
-      owned_sets.push_back(std::move(*set));
-    } else {
-      auto set = patchtool::parse_patchset_view(pkg, arena_);
-      if (!set) {
-        bool digest = set.status().code() == Errc::kIntegrityFailure;
-        verdict = digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
-        fail_instant = digest ? "digest_failure" : "bad_package";
-        break;
-      }
-      check_set(*set);
-      if (verdict != SmmStatus::kOk) break;
-      sets.push_back(*set);
-    }
+  auto pkgs = patchtool::parse_batch_view(plain);
+  if (!pkgs) {
+    emit_instant(m, "bad_batch_envelope");
+    return SmmStatus::kBadPackage;
   }
-  if (verdict == SmmStatus::kOk && legacy_copy_parser_) {
-    // Views are built only after owned_sets stops growing: view strings may
-    // point into SSO storage that a vector reallocation would move.
-    for (const auto& s : owned_sets) {
-      sets.push_back(patchtool::view_of_patchset(s, arena_));
-    }
-  }
-  timings_.verify_ns = phase_span(m, "verify", c0, t0);
-  if (verdict != SmmStatus::kOk) {
-    if (fail_instant) emit_instant(m, fail_instant);
-    return verdict;
-  }
-
-  // ---- Cross-batch validation: if any set would fail validation, reject
-  //      the whole batch before a single byte of memory changes. Earlier
-  //      members' write windows feed later members' overlap checks, so two
-  //      inner packages cannot claim the same mem_X slot or entry point.
-  std::vector<ByteWindow> prior_windows;
-  for (const auto& set : sets) {
-    SmmStatus v = validate_set(set, nullptr, &prior_windows);
-    if (v != SmmStatus::kOk) {
-      emit_instant(m, "batch_validation_failed");
-      return v;
-    }
-    for (const auto& p : set.patches) collect_windows(p, prior_windows);
-  }
-
-  // ---- Application: one rollback unit per package; a mid-batch write
-  //      failure unwinds the units already applied, in reverse. Each
-  //      committed package releases an even share of the rendezvoused APs:
-  //      CPUs whose code later packages do not touch resume before the full
-  //      batch completes (fine-grained commit). -----------
-  t0 = Clock::now();
-  c0 = m.cycles();
-  size_t applied_units = 0;
-  size_t total_code = 0;
-  u32 total_functions = 0;
-  const u32 aps = m.cpus() > 1 ? m.cpus() - 1 : 0;
-  const ByteSpan secret(shared.data(), shared.size());
-  for (const auto& set : sets) {
-    SmmStatus s =
-        apply_parsed(m, set, legacy_copy_parser_ ? nullptr : retain,
-                     rollback_token(secret, static_cast<u32>(applied_units)));
-    if (s != SmmStatus::kOk) {
-      while (applied_units > 0) {
-        restore_top_unit(m);
-        --applied_units;
-      }
-      emit_instant(m, "batch_unwound");
-      phase_span(m, "apply", c0, t0);
-      return s;
-    }
-    ++applied_units;
-    if (aps > 0) {
-      u32 share = aps / static_cast<u32>(sets.size());
-      if (applied_units <= aps % sets.size()) ++share;
-      m.release_aps(share);
-    }
-    total_code += set.total_code_bytes();
-    total_functions += static_cast<u32>(set.patches.size());
-  }
-  m.charge_cycles(cost.bytes_cost(cost.apply_cycles_per_byte, total_code));
-  timings_.apply_ns = phase_span(m, "apply", c0, t0);
-
-  timings_.package_bytes = envelope.size();
-  timings_.code_bytes = total_code;
-  timings_.functions = total_functions;
-  timings_.modeled_cycles =
-      cost.keygen_cycles +
-      cost.bytes_cost(cost.decrypt_cycles_per_byte, staged) + verify_cycles +
-      cost.bytes_cost(cost.apply_cycles_per_byte, total_code);
-
-  c_batch_applies_->inc();
-  metrics_->histogram("smm.batch_size").observe(
-      static_cast<double>(sets.size()));
-  KSHOT_LOG(kInfo, "smm") << "applied batch of " << sets.size()
-                          << " package(s), " << total_code << " code bytes";
-  return SmmStatus::kOk;
+  return verify_and_apply(m, retain, plain, *pkgs, true, staged, shared);
 }
 
 SmmStatus SmmPatchHandler::verify_and_apply(
     machine::Machine& m, const std::shared_ptr<const Bytes>& retain,
-    ByteSpan package, size_t staged_bytes, const crypto::X25519Key& shared) {
+    ByteSpan plain, std::span<const ByteSpan> wires, bool batch,
+    size_t staged_bytes, const crypto::X25519Key& shared) {
   const auto& cost = m.cost_model();
 
-  // ---- Patch verification (Table III "Patch Verification": SHA-2 digest
-  //      over the package plus per-function CRCs, done by the parser). The
-  //      per-byte hashing fans out across the rendezvoused CPUs when there
-  //      is more than one; the charge is identical under both parsers. -----
+  // ---- Patch verification (Table III "Patch Verification"): every package
+  //      is digest/CRC-checked and parsed before anything is applied,
+  //      charged per package, so a batch pays the fixed verify cost N times
+  //      but keygen/SMI entry only once. At >1 CPU the per-byte hashing fans
+  //      out across the rendezvoused CPUs. --------------------------------
   auto t0 = Clock::now();
   u64 c0 = m.cycles();
   arena_.reset();
-  std::optional<patchtool::PatchSet> owned;  // legacy: keeps the copies alive
-  patchtool::PatchSetView set;
-  Status parse_st = Status::ok();
-  if (legacy_copy_parser_) {
-    auto parsed = patchtool::parse_patchset(package);
-    if (parsed) {
-      c_staged_copies_->inc();  // names + code copied out of the wire
-      owned = std::move(*parsed);
-      set = patchtool::view_of_patchset(*owned, arena_);
-    } else {
-      parse_st = parsed.status();
+  std::vector<patchtool::PatchSetView> sets;
+  sets.reserve(wires.size());
+  u64 verify_cycles = 0;
+  SmmStatus verdict = SmmStatus::kOk;
+  const char* fail_instant = nullptr;
+  for (ByteSpan pkg : wires) {
+    u64 c = cost.verify_fixed_cycles +
+            parallel_bytes_cost(m, cost.verify_cycles_per_byte, pkg.size());
+    m.charge_cycles(c);
+    verify_cycles += c;
+    auto set = patchtool::parse_patchset_view(pkg, arena_);
+    if (!set) {
+      bool digest = set.status().code() == Errc::kIntegrityFailure;
+      verdict = digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
+      fail_instant = digest ? "digest_failure" : "bad_package";
+      break;
     }
-  } else {
-    auto parsed = patchtool::parse_patchset_view(package, arena_);
-    if (parsed) {
-      set = *parsed;
-    } else {
-      parse_st = parsed.status();
+    // A package only ever applies. Rollback is the kRollback/kRevertPatch
+    // command, which must present the unit's rollback token; a rollback op
+    // inside a package would be a way around that check.
+    const bool rollback_op =
+        std::any_of(set->patches.begin(), set->patches.end(),
+                    [](const auto& p) {
+                      return p.op != patchtool::PatchOp::kPatch;
+                    });
+    // Lifecycle operations (supersede/depends/splice) are single-package:
+    // retiring units mid-batch while later members still validate against
+    // them has no sane all-or-nothing semantics.
+    const bool lifecycle_in_batch = batch && set->has_lifecycle();
+    if (rollback_op || lifecycle_in_batch) {
+      verdict = SmmStatus::kBadPackage;
+      fail_instant = rollback_op ? "rollback_in_batch" : "lifecycle_in_batch";
+      break;
     }
+    sets.push_back(*set);
   }
-  const u64 verify_cycles =
-      cost.verify_fixed_cycles +
-      parallel_bytes_cost(m, cost.verify_cycles_per_byte, package.size());
-  m.charge_cycles(verify_cycles);
   timings_.verify_ns = phase_span(m, "verify", c0, t0);
-  if (!parse_st.is_ok()) {
-    bool digest = parse_st.code() == Errc::kIntegrityFailure;
-    emit_instant(m, digest ? "digest_failure" : "bad_package");
-    return digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
+  if (verdict != SmmStatus::kOk) {
+    emit_instant(m, fail_instant);
+    return verdict;
   }
 
-  timings_.package_bytes = package.size();
-  timings_.code_bytes = set.total_code_bytes();
-  timings_.functions = static_cast<u32>(set.patches.size());
-
-  // A package is either all-apply or all-rollback. The old first-entry
-  // sniff silently dropped the apply entries of a mixed package while
-  // reporting kOk — reject the mix outright instead.
-  bool any_rollback = false;
-  bool any_apply = false;
-  for (const auto& p : set.patches) {
-    (p.op == patchtool::PatchOp::kRollback ? any_rollback : any_apply) = true;
+  // ---- Batch validation: if any set would fail validation, reject the
+  //      whole batch before a single byte of memory changes. Earlier
+  //      members' write windows feed later members' overlap checks, so two
+  //      inner packages cannot claim the same mem_X slot or entry point. A
+  //      single package is validated by apply_parsed, after its supersede
+  //      list has retired what it may legally re-patch. ------------------
+  if (batch) {
+    std::vector<ByteWindow> prior_windows;
+    for (const auto& set : sets) {
+      SmmStatus v = validate_set(set, nullptr, &prior_windows);
+      if (v != SmmStatus::kOk) {
+        emit_instant(m, "batch_validation_failed");
+        return v;
+      }
+      for (const auto& p : set.patches) collect_windows(p, prior_windows);
+    }
   }
-  if (any_rollback && any_apply) {
-    emit_instant(m, "mixed_op_package");
-    return SmmStatus::kBadPackage;
-  }
 
-  // ---- Patch application (Table III "Patch Application") ------------------
-  // Spliced bytes skip the mem_X copy and trampoline, so they are charged at
-  // the cheaper splice rate; everything else pays the full apply rate. A set
-  // with no splice entries charges exactly what it always did.
+  // ---- Patch application (Table III "Patch Application"): one rollback
+  //      unit per package. Spliced bytes skip the mem_X copy and trampoline,
+  //      so they are charged at the cheaper splice rate; everything else
+  //      pays the full apply rate. ----------------------------------------
+  size_t total_code = 0;
   size_t splice_code = 0;
-  for (const auto& p : set.patches) {
-    if (p.splice) splice_code += p.code.size();
+  u32 functions = 0;
+  for (const auto& set : sets) {
+    for (const auto& p : set.patches) {
+      total_code += p.code.size();
+      if (p.splice) splice_code += p.code.size();
+    }
+    functions += static_cast<u32>(set.patches.size());
   }
-  size_t tramp_code = set.total_code_bytes() - splice_code;
-  t0 = Clock::now();
-  c0 = m.cycles();
-  SmmStatus st;
-  if (any_rollback) {
-    st = rollback_parsed(m, set);
-  } else {
-    st = apply_parsed(m, set, legacy_copy_parser_ ? nullptr : retain,
-                      rollback_token(ByteSpan(shared.data(), shared.size()),
-                                     0));
-    // Fine-grained commit: once the text writes land, the rendezvoused APs
-    // have nothing left to wait for — they resume while the BSP finishes
-    // the bookkeeping tail.
-    if (st == SmmStatus::kOk) m.release_aps(m.cpus());
-  }
-  u64 apply_cycles =
-      cost.bytes_cost(cost.apply_cycles_per_byte, tramp_code) +
+  const u64 apply_cycles =
+      cost.bytes_cost(cost.apply_cycles_per_byte, total_code - splice_code) +
       cost.bytes_cost(cost.splice_cycles_per_byte, splice_code);
-  m.charge_cycles(apply_cycles);
-  timings_.apply_ns = phase_span(m, "apply", c0, t0);
+  timings_.package_bytes = plain.size();
+  timings_.code_bytes = total_code;
+  timings_.functions = functions;
   timings_.modeled_cycles =
       cost.keygen_cycles +
       cost.bytes_cost(cost.decrypt_cycles_per_byte, staged_bytes) +
       verify_cycles + apply_cycles;
-  return st;
+
+  t0 = Clock::now();
+  c0 = m.cycles();
+  const u32 aps = m.cpus() > 1 ? m.cpus() - 1 : 0;
+  const ByteSpan secret(shared.data(), shared.size());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    SmmStatus st = apply_parsed(m, sets[i], retain,
+                                rollback_token(secret, static_cast<u32>(i)));
+    if (st != SmmStatus::kOk) {
+      // A write failure mid-batch unwinds the units already applied, in
+      // reverse. kApplyBatch charges apply work only for a committed batch;
+      // kApplyPatch prices the attempted apply either way.
+      for (size_t k = 0; k < i; ++k) restore_top_unit(m);
+      if (batch) {
+        emit_instant(m, "batch_unwound");
+      } else {
+        m.charge_cycles(apply_cycles);
+      }
+      timings_.apply_ns = phase_span(m, "apply", c0, t0);
+      return st;
+    }
+    // Fine-grained commit: each committed package releases an even share of
+    // the rendezvoused APs, so CPUs whose code later packages do not touch
+    // resume before the rest completes; after the last (or only) package
+    // every AP resumes while the BSP finishes the bookkeeping tail.
+    if (aps > 0) {
+      u32 share = aps / static_cast<u32>(sets.size());
+      if (i < aps % sets.size()) ++share;
+      m.release_aps(share);
+    }
+  }
+  m.charge_cycles(apply_cycles);
+  timings_.apply_ns = phase_span(m, "apply", c0, t0);
+
+  if (batch) {
+    c_batch_applies_->inc();
+    metrics_->histogram("smm.batch_size").observe(
+        static_cast<double>(sets.size()));
+    KSHOT_LOG(kInfo, "smm") << "applied batch of " << sets.size()
+                            << " package(s), " << total_code << " code bytes";
+  }
+  return SmmStatus::kOk;
 }
 
 SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
@@ -845,7 +688,8 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
   const crypto::X25519Key shared = stream_shared_;
   abort_stream();
   ByteSpan span(package->data(), package->size());
-  return verify_and_apply(m, std::move(package), span, staged_total, shared);
+  return verify_and_apply(m, package, span, std::span(&span, 1), false,
+                          staged_total, shared);
 }
 
 void SmmPatchHandler::collect_windows(const patchtool::FunctionPatchView& p,
@@ -1054,9 +898,6 @@ SmmStatus SmmPatchHandler::apply_parsed(
     }
   };
   std::vector<InstalledPatch> batch;
-  // Legacy retention: without a retained envelope the installed records must
-  // own their bytes, so the bodies are copied out of the parse.
-  if (!retain) c_staged_copies_->inc();
   for (const auto& p : set.patches) {
     InstalledPatch inst;
     inst.name = std::string(p.name);
@@ -1065,16 +906,10 @@ SmmStatus SmmPatchHandler::apply_parsed(
     inst.ftrace_off = p.ftrace_off;
     inst.code_size = static_cast<u32>(p.code.size());
     inst.memx_hash = crypto::sha256(p.code);
-    // SMRAM-kept authoritative body (§V-D): zero-copy installs borrow from
-    // the shared decrypted envelope; legacy installs own a copy.
-    if (retain) {
-      inst.retain = retain;
-      inst.code_ref = p.code;
-    } else {
-      auto copy = std::make_shared<Bytes>(p.code.begin(), p.code.end());
-      inst.code_ref = ByteSpan(copy->data(), copy->size());
-      inst.retain = std::move(copy);
-    }
+    // SMRAM-kept authoritative body (§V-D), borrowed from the shared
+    // decrypted envelope.
+    inst.retain = retain;
+    inst.code_ref = p.code;
     inst.spliced = p.splice;
     if (!p.splice) {
       auto prev = m.mem().read_bytes(p.paddr, p.code.size(), mode);
@@ -1217,12 +1052,6 @@ Status SmmPatchHandler::write_trampoline(machine::Machine& m,
                        machine::AccessMode::smm());
 }
 
-SmmStatus SmmPatchHandler::rollback_parsed(machine::Machine& m,
-                                           const patchtool::PatchSetView& set) {
-  (void)set;  // a rollback package authorizes the operation; state is local
-  return rollback(m, nullptr);
-}
-
 void SmmPatchHandler::restore_installed(machine::Machine& m,
                                         const InstalledPatch& p) {
   const auto mode = machine::AccessMode::smm();
@@ -1274,11 +1103,11 @@ bool SmmPatchHandler::rollback_authorized(machine::Machine& m,
 }
 
 SmmStatus SmmPatchHandler::rollback(machine::Machine& m,
-                                    const RollbackToken* token) {
+                                    const RollbackToken& token) {
   auto t0 = Clock::now();
   u64 c0 = m.cycles();
   if (applied_units_.empty()) return SmmStatus::kNothingToRollback;
-  if (token && !rollback_authorized(m, applied_units_.back(), *token)) {
+  if (!rollback_authorized(m, applied_units_.back(), token)) {
     return SmmStatus::kRollbackDenied;
   }
   restore_top_unit(m);

@@ -17,11 +17,18 @@
 //                  if the mailbox presents that unit's rollback token
 //   kIntrospect    re-check trampolines, mem_X hash and reserved-region page
 //                  attributes; repair anything a rootkit reverted
+//
+// kApplyPatch, kApplyBatch and the final kStageChunk all end in one
+// verify_and_apply over a list of package wires (a single package is a
+// batch of one). Packages only apply: a package holding a rollback op is
+// kBadPackage, so kRollback/kRevertPatch and their token check are the only
+// way a unit leaves.
 #pragma once
 
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -63,11 +70,10 @@ struct InstalledPatch {
   std::array<u8, 5> trampoline{};      // the jmp we wrote
   crypto::Digest256 memx_hash{};       // hash of the body (mem_X, or the
                                        // spliced-in text for splice entries)
-  /// SMRAM-kept authoritative body bytes for repair (§V-D). On the zero-copy
-  /// path `code_ref` borrows from `retain` — the decrypted session envelope,
-  /// shared by every record that envelope produced. Under the legacy copying
-  /// parser `retain` is a per-function owned copy instead. Either way the
-  /// record never dangles: the bytes live as long as the record does.
+  /// SMRAM-kept authoritative body bytes for repair (§V-D). `code_ref`
+  /// borrows from `retain` — the decrypted session envelope, shared by every
+  /// record that envelope produced — so the record never dangles: the bytes
+  /// live as long as the record does.
   std::shared_ptr<const Bytes> retain;
   ByteSpan code_ref;
   [[nodiscard]] ByteSpan code() const { return code_ref; }
@@ -161,14 +167,6 @@ class SmmPatchHandler {
     legacy_double_fetch_ = true;
   }
 
-  /// Differential-test seam: routes every package through the legacy copying
-  /// pipeline (SealedBox::deserialize + crypto::open + parse_patchset)
-  /// instead of the zero-copy span pipeline. Modeled charges are identical
-  /// in both modes — only the smm.staged_copies counter differs — so the
-  /// zero-copy differential suite can assert byte-identical outcomes over
-  /// the whole fuzz corpus. Nothing else may call it.
-  void enable_legacy_copy_parser_for_selftest() { legacy_copy_parser_ = true; }
-
   /// Models a concurrent writer racing the SMI (another core or a DMA
   /// engine scribbling while this core is in SMM): invoked once per staged-
   /// bytes fetch, between the single fetch into SMRAM and its use. Under
@@ -252,15 +250,15 @@ class SmmPatchHandler {
 
  private:
   void begin_session(machine::Machine& m, Mailbox& mbox);
-  SmmStatus apply_patch(machine::Machine& m, Mailbox& mbox,
-                        const MailboxSnapshot& snap);
-  SmmStatus apply_batch(machine::Machine& m, Mailbox& mbox,
-                        const MailboxSnapshot& snap);
+  /// kApplyPatch (`batch` false) and kApplyBatch: decrypt the staged
+  /// envelope, split a batch envelope into its package wires, then
+  /// verify_and_apply.
+  SmmStatus apply_staged(machine::Machine& m, Mailbox& mbox,
+                         const MailboxSnapshot& snap, bool batch);
   SmmStatus stage_chunk(machine::Machine& m, Mailbox& mbox,
                         const MailboxSnapshot& snap);
-  /// kRollback: pops the newest unit if `token` is its rollback token; null
-  /// when a rollback package sealed under a live session authorized it.
-  SmmStatus rollback(machine::Machine& m, const RollbackToken* token);
+  /// kRollback: pops the newest unit if `token` is its rollback token.
+  SmmStatus rollback(machine::Machine& m, const RollbackToken& token);
   /// kRevertPatch: removes the applied unit whose id hash matches
   /// snap.revert_target, wherever it sits in the stack, if snap carries its
   /// rollback token and no other applied unit still depends on something it
@@ -284,10 +282,9 @@ class SmmPatchHandler {
   /// session-key reset. All mailbox fields come from `snap` — nothing is
   /// re-read from attacker-writable memory (unless the legacy double-fetch
   /// seam is enabled). Returns kOk with the plaintext span in `out_plain`,
-  /// the buffer that owns it in `out_retain` (zero-copy mode: the envelope
-  /// itself, decrypted in place; legacy seam: an owned copy) and the
-  /// session's DH shared secret in `out_shared` (the rollback tokens'
-  /// root), or the status to report.
+  /// the buffer that owns it in `out_retain` (the envelope itself,
+  /// decrypted in place) and the session's DH shared secret in `out_shared`
+  /// (the rollback tokens' root), or the status to report.
   SmmStatus decrypt_staged(machine::Machine& m, Mailbox& mbox,
                            const MailboxSnapshot& snap,
                            std::shared_ptr<const Bytes>& out_retain,
@@ -307,25 +304,27 @@ class SmmPatchHandler {
   /// Idempotent — aborting with nothing active is still a clean abort.
   void abort_session(Mailbox& mbox);
 
-  /// Shared tail of apply_patch / stage_chunk: verify the plaintext package
-  /// and apply it, charging costs and recording timings. `package` borrows
-  /// from `retain` (which installed patches keep alive past the SMI);
-  /// `shared` is the session's DH shared secret.
+  /// The one verify-and-apply path, shared by kApplyPatch, kApplyBatch and
+  /// the final stream chunk: verify every wire in `wires`, then apply each
+  /// as one rollback unit whose token is rollback_token(shared, index),
+  /// charging costs and recording timings. The wires and `plain` (the whole
+  /// plaintext: one package, or the batch envelope) borrow from `retain`,
+  /// which installed patches keep alive past the SMI. `batch` selects the
+  /// kApplyBatch envelope rules: no lifecycle data, every set validated
+  /// before any applies, and apply work charged only when the batch
+  /// commits.
   SmmStatus verify_and_apply(machine::Machine& m,
                              const std::shared_ptr<const Bytes>& retain,
-                             ByteSpan package, size_t staged_bytes,
+                             ByteSpan plain, std::span<const ByteSpan> wires,
+                             bool batch, size_t staged_bytes,
                              const crypto::X25519Key& shared);
 
   /// Applies one parsed set as a unit removable only with `token`.
-  /// `retain` is the buffer the set's code spans borrow from; null (legacy
-  /// copying parser) makes the installed records take owned per-function
-  /// copies instead.
+  /// `retain` is the buffer the set's code spans borrow from.
   SmmStatus apply_parsed(machine::Machine& m,
                          const patchtool::PatchSetView& set,
                          const std::shared_ptr<const Bytes>& retain,
                          const RollbackToken& token);
-  SmmStatus rollback_parsed(machine::Machine& m,
-                            const patchtool::PatchSetView& set);
 
   /// Per-byte work the rendezvoused CPUs share during the SMI window
   /// (package verify hashing, staged-bytes pinning): the byte cost divides
@@ -351,8 +350,8 @@ class SmmPatchHandler {
   /// set whose write windows intersect each other, an installed patch's
   /// windows (minus `retired_installed`, the records a supersede is about
   /// to free), or `extra_windows` (earlier sets of the same batch) is
-  /// kBadPackage. apply_parsed re-runs it; apply_batch runs it over every
-  /// set before applying any, making the whole batch all-or-nothing for
+  /// kBadPackage. apply_parsed re-runs it; a batch runs it over every set
+  /// before applying any, making the whole batch all-or-nothing for
   /// validation failures.
   [[nodiscard]] SmmStatus validate_set(
       const patchtool::PatchSetView& set,
@@ -410,7 +409,6 @@ class SmmPatchHandler {
   bool introspect_on_idle_ = false;
   bool legacy_wrapping_bounds_ = false;  // self-test seam, see above
   bool legacy_double_fetch_ = false;     // self-test seam, see above
-  bool legacy_copy_parser_ = false;      // differential-test seam, see above
   ConcurrentWriter concurrent_writer_;
   u64 detection_overhead_cycles_ = 0;  // hardening cycles, see accessor
 
@@ -444,11 +442,9 @@ class SmmPatchHandler {
   obs::Counter* c_batch_applies_ = nullptr;
   obs::Counter* c_detections_ = nullptr;
   obs::Counter* c_introspect_repairs_ = nullptr;
-  /// Buffer copies of staged package payload per pipeline run. Zero-copy
-  /// mode: exactly one per applied package (the SMM write into machine
-  /// memory). Legacy mode additionally counts the envelope deserialize, the
-  /// AEAD open, the parser's code copy-out, and the installed-record
-  /// retention — the copies the span pipeline eliminated.
+  /// Buffer copies of staged package payload per pipeline run: exactly one
+  /// per applied package (the SMM write into machine memory). The envelope
+  /// is decrypted in place and every other use borrows spans from it.
   obs::Counter* c_staged_copies_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   u32 trace_target_ = 0;

@@ -159,9 +159,6 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
   if (opts_.legacy_double_fetch) {
     t.kshot().handler().enable_legacy_double_fetch_for_selftest();
   }
-  if (opts_.legacy_copy_parser) {
-    t.kshot().handler().enable_legacy_copy_parser_for_selftest();
-  }
 
   snap(t, pre_);
 
@@ -224,9 +221,9 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
              std::to_string(adv.actions_fired()) + " action(s))");
   }
 
-  // State digest for the zero-copy differential: run outcome, detections,
-  // downtime decomposition, and final memory outside the attacker scratch.
-  // smm.staged_copies is deliberately not part of this.
+  // State digest (frozen for the corpus in tests/corpus/state_digests.txt):
+  // run outcome, detections, downtime decomposition, and final memory
+  // outside the attacker scratch. smm.staged_copies is not part of this.
   {
     ByteWriter dw;
     dw.put_u8(success ? 1 : 0);

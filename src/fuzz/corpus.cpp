@@ -219,7 +219,7 @@ std::vector<std::pair<std::string, Bytes>> seed_netsim_cases() {
     b.insert(b.end(), frame.begin(), frame.end());
     return b;
   };
-  // Bad op byte: first frame byte is neither kFetchPatch nor kFetchRollback.
+  // Bad op byte: first frame byte is not kFetchPatch.
   out.emplace_back("bad-op", tag0(Bytes{9, 0, 0}));
   // Empty and truncated frames.
   out.emplace_back("empty-frame", Bytes{0});

@@ -92,9 +92,8 @@ class Surface {
     std::optional<std::pair<std::string, std::string>> failure;
     /// Hex digest over the case's observable outcome (final target memory,
     /// per-step statuses, trace span content) where the surface computes
-    /// one; empty otherwise. Copy-vs-span accounting (smm.staged_copies) is
-    /// deliberately excluded: the zero-copy differential test asserts this
-    /// digest is byte-identical across parser modes.
+    /// one; empty otherwise. The corpus replay in tests/test_zero_copy.cpp
+    /// checks it against the frozen tests/corpus/state_digests.txt.
     std::string state_digest;
   };
   virtual Verdict execute(ByteSpan encoded) = 0;
@@ -112,10 +111,6 @@ struct PackageSurfaceOptions {
   /// check (SmmPatchHandler::enable_legacy_wrapping_bounds_for_selftest) so
   /// the harness can prove it detects that bug class. Test-only.
   bool legacy_wrapping_bounds = false;
-  /// Differential seam: runs the SMM target through the legacy copying
-  /// parser instead of the zero-copy span parser. Verdicts (including
-  /// state_digest) must be identical either way. Test-only.
-  bool legacy_copy_parser = false;
   /// Self-test seam: a writer racing the apply SMI rewrites a kernel-data
   /// byte no package declares with its own value, so the harness can prove
   /// the dirtied-pages oracle catches writes the memory compare cannot.
@@ -135,9 +130,6 @@ struct AttackerSurfaceOptions {
   /// the harness can prove its prevented-or-detected oracle catches that
   /// TOCTOU class. Test-only.
   bool legacy_double_fetch = false;
-  /// Differential seam: legacy copying parser instead of zero-copy spans.
-  /// Test-only; never changes verdicts.
-  bool legacy_copy_parser = false;
   /// Simulated CPUs on the fuzzed target (>= 1).
   u32 cpus = 1;
 };
@@ -149,18 +141,12 @@ struct AttackerSurfaceOptions {
 std::unique_ptr<Surface> make_attacker_schedule_surface(
     AttackerSurfaceOptions o = {});
 
-struct LifecycleSurfaceOptions {
-  /// Differential seam: legacy copying parser instead of zero-copy spans.
-  /// Test-only; never changes verdicts.
-  bool legacy_copy_parser = false;
-};
-
 /// Fuzzes patch-stack lifecycle op schedules (apply / supersede / revert /
 /// rollback) against the SMM handler through real SMI sessions. Oracle: a
 /// reference model of the applied stack predicts every op's status and the
 /// exact kQueryApplied blob, and a final rollback drain must restore all
 /// memory outside SMRAM/mailbox/mem_W/mem_X byte-identically.
-std::unique_ptr<Surface> make_lifecycle_surface(LifecycleSurfaceOptions o = {});
+std::unique_ptr<Surface> make_lifecycle_surface();
 
 struct SynthSurfaceOptions {
   /// Self-test seam: plants every generated case's defensive fault-site

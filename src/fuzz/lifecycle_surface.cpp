@@ -20,10 +20,10 @@
 #include "common/byte_io.hpp"
 #include "common/hex.hpp"
 #include "core/smm_handler.hpp"
-#include "crypto/aead.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/simple_hash.hpp"
 #include "fuzz/fuzz.hpp"
+#include "fuzz/smm_session.hpp"
 #include "machine/machine.hpp"
 #include "machine/mem_window.hpp"
 #include "patchtool/package.hpp"
@@ -394,8 +394,6 @@ class StackModel {
 
 class LifecycleSurface final : public Surface {
  public:
-  explicit LifecycleSurface(LifecycleSurfaceOptions o) : opts_(o) {}
-
   const char* name() const override { return "lifecycle"; }
 
   Bytes generate(Rng& rng) override;
@@ -404,7 +402,6 @@ class LifecycleSurface final : public Surface {
   std::string describe(ByteSpan encoded) const override;
 
  private:
-  LifecycleSurfaceOptions opts_;
   kernel::MemoryLayout lay_ = fuzz_layout();
   /// Digested memory: everything outside SMRAM and the mailbox page.
   machine::MemWindow digest_window_{
@@ -451,7 +448,7 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   if (encoded.empty() || encoded.size() % 2 != 0 ||
       encoded.size() > 2 * kMaxOps) {
     // No rig was booted, so the outcome is fully determined by the wire:
-    // digest the wire itself to keep the differential invariant total.
+    // digest the wire itself so every case has a state digest.
     crypto::Digest256 d = crypto::sha256(encoded);
     v.state_digest = to_hex(ByteSpan(d.data(), d.size()));
     v.kind = Verdict::Kind::kRejected;
@@ -462,17 +459,14 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   machine::Machine m(lay_.mem_bytes, lay_.smram_base, lay_.smram_size,
                      kRigSeed);
   core::SmmPatchHandler handler(lay_, kRigSeed, &metrics);
-  if (opts_.legacy_copy_parser) {
-    handler.enable_legacy_copy_parser_for_selftest();
-  }
   if (!m.set_smm_handler(
            [&handler](machine::Machine& mm) { handler.on_smi(mm); })
            .is_ok()) {
     fail("rig", "set_smm_handler failed");
     return v;
   }
-  // Zero-copy differential input: every op status, every query blob, final
-  // memory and the SMM cycle ledger. smm.staged_copies is deliberately out.
+  // State digest input: every op status, every query blob, final memory and
+  // the SMM cycle ledger. smm.staged_copies is not part of it.
   ByteWriter digest_w;
 
   auto fill = [&](PhysAddr base, size_t len) {
@@ -484,8 +478,8 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   fill(lay_.text_base, lay_.text_max);
   fill(lay_.data_base, lay_.data_max);
 
-  const auto mode = machine::AccessMode::normal();
-  core::Mailbox mbox(m.mem(), lay_.mem_rw_base(), mode);
+  SmmSessionDriver session(m, lay_);
+  core::Mailbox& mbox = session.mailbox();
   Rng arng(kAttackerSeed);
 
   // Pre-run snapshot: after the final drain, everything outside
@@ -498,9 +492,7 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   bool applied_any = false;
 
   auto smi_status = [&](SmmCommand cmd) -> Result<SmmStatus> {
-    mbox.write_command(cmd);
-    m.trigger_smi();
-    auto st = mbox.read_status();
+    auto st = session.smi(cmd);
     if (st) digest_w.put_u64(static_cast<u64>(*st));
     auto back = mbox.read_command();
     if (!back || *back != SmmCommand::kIdle) {
@@ -519,23 +511,13 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
       fail("rig", "begin_session failed");
       return Status{Errc::kInternal, "begin_session"};
     }
-    auto smm_pub = mbox.read_smm_pub();
-    if (!smm_pub) {
-      fail("rig", "smm pub unreadable after kBeginSession");
-      return smm_pub.status();
+    auto staged =
+        session.seal_and_stage(patchtool::serialize_patchset_raw(set), arng);
+    if (!staged) {
+      fail("rig", "staging failed: " + staged.status().to_string());
+      return staged.status();
     }
-    auto keys = crypto::dh_generate(arng);
-    auto shared = crypto::dh_shared(keys.private_key, *smm_pub);
-    auto key = crypto::derive_key(ByteSpan(shared.data(), shared.size()),
-                                  "sgx-smm");
-    token = core::rollback_token(ByteSpan(shared.data(), shared.size()), 0);
-    crypto::Nonce96 nonce{};
-    arng.fill(MutByteSpan(nonce.data(), nonce.size()));
-    Bytes wire = patchtool::serialize_patchset_raw(set);
-    Bytes sealed = crypto::seal(key, nonce, wire).serialize();
-    m.mem().write(lay_.mem_w_base(), sealed, mode);
-    mbox.write_enclave_pub(keys.public_key);
-    mbox.write_staged_size(sealed.size());
+    token = session.rollback_token(0);
     return smi_status(SmmCommand::kApplyPatch);
   };
 
@@ -554,7 +536,8 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
       return;
     }
     auto blob = m.mem().read_bytes(
-        lay_.mem_rw_base() + core::MailboxLayout::kQueryBlob, *size, mode);
+        lay_.mem_rw_base() + core::MailboxLayout::kQueryBlob, *size,
+        machine::AccessMode::normal());
     if (!blob) {
       fail("query-blob", "query blob unreadable");
       return;
@@ -776,8 +759,8 @@ std::string LifecycleSurface::describe(ByteSpan encoded) const {
 
 }  // namespace
 
-std::unique_ptr<Surface> make_lifecycle_surface(LifecycleSurfaceOptions o) {
-  return std::make_unique<LifecycleSurface>(o);
+std::unique_ptr<Surface> make_lifecycle_surface() {
+  return std::make_unique<LifecycleSurface>();
 }
 
 std::vector<std::pair<std::string, Bytes>> seed_lifecycle_cases() {

@@ -45,8 +45,7 @@ class NetsimSurface final : public Surface {
     // One canonical valid frame + response: the frame seeds tag-0 mutation
     // cases (attestation stays valid — it is not session-bound on replay of
     // the same bytes); the response size bounds tag-2 keep values.
-    auto req = tb_->kshot().enclave().begin_fetch(
-        patch_id_, PatchRequest::Op::kFetchPatch);
+    auto req = tb_->kshot().enclave().begin_fetch(patch_id_);
     if (req.is_ok()) {
       canonical_frame_ = std::move(*req);
       auto resp = tb_->server().handle_request(canonical_frame_);
@@ -105,10 +104,11 @@ Bytes NetsimSurface::generate(Rng& rng) {
     } else if (kind == 1 && !canonical_frame_.empty()) {
       w.put_bytes(canonical_frame_);  // the valid frame itself must keep working
     } else if (kind == 2) {
-      // Hand-built structurally valid frame with garbage attestation.
+      // Hand-built frame with garbage attestation; half of them carry op 2,
+      // the retired rollback fetch, which must be refused as a bad op.
       PatchRequest req;
       req.op = rng.next_below(2) ? PatchRequest::Op::kFetchPatch
-                                 : PatchRequest::Op::kFetchRollback;
+                                 : static_cast<PatchRequest::Op>(2);
       req.patch_id = rng.next_below(2) ? patch_id_ : "CVE-0000-0000";
       req.os.version = "sim-4.4";
       req.os.text_base = rng.next();
@@ -143,8 +143,7 @@ Bytes NetsimSurface::generate(Rng& rng) {
 // ---- Execution + oracles -----------------------------------------------------
 
 Result<Bytes> NetsimSurface::fresh_response() {
-  auto req = tb_->kshot().enclave().begin_fetch(
-      patch_id_, PatchRequest::Op::kFetchPatch);
+  auto req = tb_->kshot().enclave().begin_fetch(patch_id_);
   if (!req.is_ok()) return req.status();
   return tb_->server().handle_request(*req);
 }

@@ -18,9 +18,9 @@
 #include "common/byte_io.hpp"
 #include "common/hex.hpp"
 #include "core/smm_handler.hpp"
-#include "crypto/aead.hpp"
 #include "crypto/sha256.hpp"
 #include "fuzz/fuzz.hpp"
+#include "fuzz/smm_session.hpp"
 #include "machine/machine.hpp"
 #include "machine/mem_window.hpp"
 #include "patchtool/package.hpp"
@@ -158,6 +158,15 @@ struct Prediction {
   std::vector<PatchSet> sets;
 };
 
+/// A package only applies: rollback is the token-checked kRollback command,
+/// so any entry with another op makes the handler refuse the package.
+bool has_rollback_op(const PatchSet& set) {
+  for (const auto& p : set.patches) {
+    if (p.op != PatchOp::kPatch) return true;
+  }
+  return false;
+}
+
 Prediction predict(const kernel::MemoryLayout& lay, ByteSpan wire,
                    size_t sealed_size) {
   Prediction pred;
@@ -166,17 +175,18 @@ Prediction predict(const kernel::MemoryLayout& lay, ByteSpan wire,
     return pred;
   }
   if (patchtool::is_batch_wire(wire)) {
-    // Mirrors apply_batch exactly: envelope parse, then per-package verify
-    // in order (digest beats bad-package per package; any inner rollback op
-    // rejects the batch), then cross-batch validation before any applies.
+    // Mirrors the handler's batch rules exactly: envelope parse, then
+    // per-package verify in order (digest beats bad-package per package;
+    // any inner rollback op rejects the batch), then cross-batch validation
+    // before any applies.
     pred.is_batch = true;
-    auto pkgs = patchtool::parse_batch(wire);
+    auto pkgs = patchtool::parse_batch_view(wire);
     if (!pkgs) {
       pred.status = SmmStatus::kBadPackage;
       return pred;
     }
     std::vector<PatchSet> sets;
-    for (const Bytes& pkg : *pkgs) {
+    for (ByteSpan pkg : *pkgs) {
       auto set = patchtool::parse_patchset(pkg);
       if (!set) {
         pred.status = set.status().code() == Errc::kIntegrityFailure
@@ -184,11 +194,9 @@ Prediction predict(const kernel::MemoryLayout& lay, ByteSpan wire,
                           : SmmStatus::kBadPackage;
         return pred;
       }
-      for (const auto& p : set->patches) {
-        if (p.op == PatchOp::kRollback) {
-          pred.status = SmmStatus::kBadPackage;  // apply-only construct
-          return pred;
-        }
+      if (has_rollback_op(*set)) {
+        pred.status = SmmStatus::kBadPackage;
+        return pred;
       }
       sets.push_back(std::move(*set));
     }
@@ -225,18 +233,8 @@ Prediction predict(const kernel::MemoryLayout& lay, ByteSpan wire,
                       : SmmStatus::kBadPackage;
     return pred;
   }
-  bool any_rollback = false;
-  bool any_apply = false;
-  for (const auto& p : set->patches) {
-    (p.op == PatchOp::kRollback ? any_rollback : any_apply) = true;
-  }
-  if (any_rollback && any_apply) {
+  if (has_rollback_op(*set)) {
     pred.status = SmmStatus::kBadPackage;
-    return pred;
-  }
-  if (any_rollback) {
-    // Fresh rig: nothing has been applied, so nothing can roll back.
-    pred.status = SmmStatus::kNothingToRollback;
     return pred;
   }
   // On a fresh rig the applied set is empty, so any dependency is missing
@@ -500,12 +498,9 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   if (opts_.legacy_wrapping_bounds) {
     handler.enable_legacy_wrapping_bounds_for_selftest();
   }
-  if (opts_.legacy_copy_parser) {
-    handler.enable_legacy_copy_parser_for_selftest();
-  }
-  // Everything the zero-copy differential compares across parser modes:
-  // every observed status lands here as it is read, final memory and the
-  // trace spans at the end. smm.staged_copies is deliberately not included.
+  // State digest input: every observed status lands here as it is read,
+  // final memory and the trace spans at the end. smm.staged_copies is not
+  // part of it.
   ByteWriter digest_w;
   obs::TraceRecorder trace;
   handler.set_trace(&trace, 0);
@@ -527,28 +522,16 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   fill(lay_.text_base, lay_.text_max);
   fill(lay_.data_base, lay_.data_max);
 
-  // Attacker handshake (the SmmRig protocol from tests/test_security.cpp).
-  const auto mode = machine::AccessMode::normal();
-  core::Mailbox mbox(m.mem(), lay_.mem_rw_base(), mode);
-  mbox.write_command(SmmCommand::kBeginSession);
-  m.trigger_smi();
-  auto smm_pub = mbox.read_smm_pub();
-  if (!smm_pub) {
-    fail("rig", "smm pub unreadable after kBeginSession");
+  // Attacker handshake: begin a session, then seal and stage the wire.
+  SmmSessionDriver session(m, lay_);
+  core::Mailbox& mbox = session.mailbox();
+  session.smi(SmmCommand::kBeginSession);
+  Rng arng(kAttackerSeed);
+  auto sealed_size = session.seal_and_stage(encoded, arng);
+  if (!sealed_size) {
+    fail("rig", "staging failed: " + sealed_size.status().to_string());
     return v;
   }
-  Rng arng(kAttackerSeed);
-  auto keys = crypto::dh_generate(arng);
-  auto shared = crypto::dh_shared(keys.private_key, *smm_pub);
-  auto key =
-      crypto::derive_key(ByteSpan(shared.data(), shared.size()), "sgx-smm");
-  crypto::Nonce96 nonce{};
-  arng.fill(MutByteSpan(nonce.data(), nonce.size()));
-  Bytes sealed = crypto::seal(key, nonce, encoded).serialize();
-
-  m.mem().write(lay_.mem_w_base(), sealed, mode);
-  mbox.write_enclave_pub(keys.public_key);
-  mbox.write_staged_size(sealed.size());
 
   // Pre-apply snapshot: the byte-identical baseline every rejection path
   // must restore. Taken before the apply SMI; the mailbox page and SMRAM
@@ -557,7 +540,7 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   const machine::PhysMem& image = m.mem();
   snapshot_.capture(image, 0, lay_.mem_bytes);
 
-  Prediction pred = predict(lay_, encoded, sealed.size());
+  Prediction pred = predict(lay_, encoded, *sealed_size);
 
   if (opts_.stray_smm_write) {
     // Self-test seam: a writer racing the apply SMI rewrites one byte of
@@ -569,9 +552,8 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
       *p = *p;
     });
   }
-  mbox.write_command(pred.is_batch ? SmmCommand::kApplyBatch
-                                   : SmmCommand::kApplyPatch);
-  m.trigger_smi();
+  session.smi(pred.is_batch ? SmmCommand::kApplyBatch
+                            : SmmCommand::kApplyPatch);
   handler.set_concurrent_writer(nullptr);
 
   // Oracle: every page the apply SMI wrote outside SMRAM and the mailbox
@@ -587,8 +569,9 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
 
   // Oracle: no Status swallowed — the status word must be readable and a
   // known SmmStatus value, and the command word must be consumed.
-  auto raw_status = m.mem().read_u64(
-      lay_.mem_rw_base() + core::MailboxLayout::kStatus, mode);
+  auto raw_status =
+      m.mem().read_u64(lay_.mem_rw_base() + core::MailboxLayout::kStatus,
+                       machine::AccessMode::normal());
   if (!raw_status) {
     fail("status-unreadable", "mailbox status word unreadable after apply");
     return v;
@@ -662,11 +645,9 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     for (auto it = units.rbegin(); it != units.rend(); ++it) {
       // The rollback authority of unit *it: derived from this session's
       // shared secret and the unit's position in the batch.
-      mbox.write_rollback_token(core::rollback_token(
-          ByteSpan(shared.data(), shared.size()), static_cast<u32>(*it)));
-      mbox.write_command(SmmCommand::kRollback);
-      m.trigger_smi();
-      auto rb = mbox.read_status();
+      mbox.write_rollback_token(
+          session.rollback_token(static_cast<u32>(*it)));
+      auto rb = session.smi(SmmCommand::kRollback);
       if (rb) digest_w.put_u64(static_cast<u64>(*rb));
       if (!rb || *rb != SmmStatus::kOk) {
         fail("rollback-status",
@@ -693,9 +674,7 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
                  " != remaining entries " + std::to_string(remaining));
       }
     }
-    mbox.write_command(SmmCommand::kRollback);
-    m.trigger_smi();
-    auto rb = mbox.read_status();
+    auto rb = session.smi(SmmCommand::kRollback);
     if (rb) digest_w.put_u64(static_cast<u64>(*rb));
     if (!rb || *rb != SmmStatus::kNothingToRollback) {
       fail("rollback-exhausted",
@@ -779,36 +758,38 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
 std::vector<Bytes> PackageSurface::shrink_candidates(ByteSpan encoded,
                                                      Rng& rng) {
   if (patchtool::is_batch_wire(encoded)) {
-    auto pkgs = patchtool::parse_batch(encoded);
-    if (!pkgs) {
+    auto views = patchtool::parse_batch_view(encoded);
+    if (!views) {
       // Malformed envelope: structural reduction can't preserve the oracle,
       // shrink raw bytes.
       return Surface::shrink_candidates(encoded, rng);
     }
+    std::vector<Bytes> pkgs;
+    for (ByteSpan w : *views) pkgs.emplace_back(w.begin(), w.end());
     std::vector<Bytes> out;
     auto emit = [&](Bytes w) {
       if (w.size() < encoded.size()) out.push_back(std::move(w));
     };
     // A one-package batch often reproduces as a bare package wire.
-    if (pkgs->size() == 1) emit((*pkgs)[0]);
+    if (pkgs.size() == 1) emit(pkgs[0]);
     // Drop one inner package at a time.
-    if (pkgs->size() > 1) {
-      for (size_t i = 0; i < pkgs->size(); ++i) {
+    if (pkgs.size() > 1) {
+      for (size_t i = 0; i < pkgs.size(); ++i) {
         std::vector<Bytes> rest;
-        for (size_t j = 0; j < pkgs->size(); ++j) {
-          if (j != i) rest.push_back((*pkgs)[j]);
+        for (size_t j = 0; j < pkgs.size(); ++j) {
+          if (j != i) rest.push_back(pkgs[j]);
         }
         emit(patchtool::serialize_batch(rest));
       }
     }
     // Structurally reduce one inner package, keeping the envelope.
-    for (size_t i = 0; i < pkgs->size(); ++i) {
-      auto set = patchtool::parse_patchset((*pkgs)[i]);
+    for (size_t i = 0; i < pkgs.size(); ++i) {
+      auto set = patchtool::parse_patchset(pkgs[i]);
       if (!set) continue;
       for (size_t k = 0; k < set->patches.size(); ++k) {
         PatchSet s = *set;
         s.patches.erase(s.patches.begin() + static_cast<std::ptrdiff_t>(k));
-        std::vector<Bytes> repl = *pkgs;
+        std::vector<Bytes> repl = pkgs;
         repl[i] = patchtool::serialize_patchset_raw(s);
         emit(patchtool::serialize_batch(repl));
       }
@@ -818,7 +799,7 @@ std::vector<Bytes> PackageSurface::shrink_candidates(ByteSpan encoded,
           p.code.clear();
           p.var_edits.clear();
         }
-        std::vector<Bytes> repl = *pkgs;
+        std::vector<Bytes> repl = pkgs;
         repl[i] = patchtool::serialize_patchset_raw(s);
         emit(patchtool::serialize_batch(repl));
       }
@@ -884,7 +865,7 @@ std::string PackageSurface::describe(ByteSpan encoded) const {
   std::ostringstream os;
   if (patchtool::is_batch_wire(encoded)) {
     os << "batch wire: " << encoded.size() << " total bytes";
-    auto pkgs = patchtool::parse_batch(encoded);
+    auto pkgs = patchtool::parse_batch_view(encoded);
     if (pkgs) {
       os << ", " << pkgs->size() << " inner package(s)";
     } else {

@@ -263,10 +263,8 @@ Result<Bytes> PatchServer::handle_request(ByteSpan request_wire) {
   // 2. Build the patch set (single-flight cached across the fleet).
   auto set = build_patchset(req.patch_id, req.os);
   if (!set) return reject(set.status());
-  patchtool::PatchOp op = req.op == PatchRequest::Op::kFetchRollback
-                              ? patchtool::PatchOp::kRollback
-                              : patchtool::PatchOp::kPatch;
-  Bytes package = patchtool::serialize_patchset(*set, op);
+  Bytes package =
+      patchtool::serialize_patchset(*set, patchtool::PatchOp::kPatch);
 
   // 3. Seal under the DH session key. The RNG is shared mutable state, so
   //    the draw happens under the lock; which request gets which ephemeral

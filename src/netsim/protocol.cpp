@@ -80,7 +80,7 @@ Result<PatchRequest> PatchRequest::deserialize(ByteSpan wire) {
   ByteReader r(wire);
   PatchRequest req;
   auto op = r.get_u8();
-  if (!op || (*op != 1 && *op != 2)) {
+  if (!op || *op != static_cast<u8>(Op::kFetchPatch)) {
     return Status{Errc::kInvalidArgument, "bad request op"};
   }
   req.op = static_cast<Op>(*op);

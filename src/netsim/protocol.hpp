@@ -14,7 +14,9 @@ namespace kshot::netsim {
 
 /// Request: who we are, which kernel we run, which patch we want.
 struct PatchRequest {
-  enum class Op : u8 { kFetchPatch = 1, kFetchRollback = 2 };
+  /// The only fetch op. Rollback needs no package: it is a token-checked
+  /// SMM command, so any other op byte is refused as a bad op.
+  enum class Op : u8 { kFetchPatch = 1 };
 
   Op op = Op::kFetchPatch;
   std::string patch_id;

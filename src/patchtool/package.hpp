@@ -5,7 +5,7 @@
 //
 //   offset  field        size
 //   0       sequence     u16
-//   2       opt          u8    (1 = patch, 2 = rollback)
+//   2       opt          u8    (1 = patch; 2 = rollback, refused by SMM)
 //   3       type         u8    (1/2/3)
 //   4       taddr        u64   target entry in the running kernel
 //   12      paddr        u64   destination in mem_X (0 until preprocessing)
@@ -41,8 +41,9 @@ inline constexpr u16 kPackageVersion = 1;
 inline constexpr u16 kPackageVersionLifecycle = 2;
 inline constexpr size_t kFnHeaderBytes = 42;
 
-/// Serializes a patch set, overriding every entry's op with `op` (the same
-/// set is shipped with kPatch and replayed with kRollback).
+/// Serializes a patch set, overriding every entry's op with `op`. The
+/// pipeline only ships kPatch: the SMM handler refuses any package holding
+/// another op, because rollback is the token-checked kRollback command.
 Bytes serialize_patchset(const PatchSet& set, PatchOp op);
 
 /// Serializes a patch set preserving each entry's own op field. The normal
@@ -50,13 +51,6 @@ Bytes serialize_patchset(const PatchSet& set, PatchOp op);
 /// adversarial harnesses can craft such packages and assert they are
 /// rejected at the SMM boundary.
 Bytes serialize_patchset_raw(const PatchSet& set);
-
-/// Parses and fully verifies a package (magic, version, set digest, per-
-/// function CRCs). Returns kIntegrityFailure on any mismatch. This is the
-/// legacy copying parser: every name and code payload is copied out of the
-/// wire. The hot path uses parse_patchset_view; this stays as the reference
-/// the zero-copy differential suite replays against.
-Result<PatchSet> parse_patchset(ByteSpan wire);
 
 // ---- Zero-copy views ------------------------------------------------------
 // Borrowed-span mirror of FunctionPatch/PatchSet. Strings and code payloads
@@ -107,23 +101,20 @@ struct PatchSetView {
   }
 };
 
-/// Span-parsing twin of parse_patchset: identical validation and rejection
-/// behavior, but name/code stay borrowed from `wire` and the view tables
-/// live in `arena`. The returned view dangles if `wire`'s backing buffer or
-/// `arena` dies first.
+/// The package parser: fully verifies a package (magic, version, set
+/// digest, per-function CRCs, exact framing) and returns kIntegrityFailure
+/// on any mismatch. Name and code stay borrowed from `wire` and the view
+/// tables live in `arena`; the returned view dangles if `wire`'s backing
+/// buffer or `arena` dies first.
 Result<PatchSetView> parse_patchset_view(ByteSpan wire, Arena& arena);
 
-/// Builds a view over an owned PatchSet (legacy-parser bridge: lets every
-/// downstream consumer take PatchSetView regardless of which parser ran).
-/// The view borrows from `set` and `arena`.
-PatchSetView view_of_patchset(const PatchSet& set, Arena& arena);
+/// parse_patchset_view into a local arena, copied out into an owned
+/// PatchSet — for consumers that edit the set (enclave preprocessing, the
+/// fuzz predictor). Accepts and rejects exactly what the view parser does.
+Result<PatchSet> parse_patchset(ByteSpan wire);
 
 /// The set digest stored in (and checked against) the set header.
 crypto::Digest256 package_digest(ByteSpan wire_after_digest);
-
-/// Parsed op of a serialized package without full validation (the SMM
-/// handler dispatches on this before verifying).
-Result<PatchOp> peek_op(ByteSpan wire);
 
 // ---- Batch envelope -------------------------------------------------------
 // A batched SMM session stages N ordinary packages inside one sealed blob:
@@ -133,7 +124,8 @@ Result<PatchOp> peek_op(ByteSpan wire);
 // Each inner package keeps its own digest/CRC protection; the envelope adds
 // no crypto of its own because the whole blob is already sealed under the
 // session key. The SMM handler applies the envelope all-or-nothing with one
-// rollback unit per inner package.
+// rollback unit per inner package; a bare kApplyPatch package is handled as
+// a batch of one.
 
 inline constexpr u32 kBatchMagic = 0x4248534B;  // "KSHB"
 inline constexpr u32 kMaxBatchPackages = 64;
@@ -141,13 +133,9 @@ inline constexpr u32 kMaxBatchPackages = 64;
 /// Wraps already-serialized packages into a batch envelope.
 Bytes serialize_batch(const std::vector<Bytes>& packages);
 
-/// Splits a batch envelope back into its inner package wires. Structural
-/// validation only (magic, count bounds, length framing); each inner wire
-/// still needs parse_patchset. Legacy copying variant.
-Result<std::vector<Bytes>> parse_batch(ByteSpan wire);
-
-/// Zero-copy variant: identical framing validation, but each inner wire is
-/// a borrowed span into `wire`.
+/// Splits a batch envelope into its inner package wires, each a borrowed
+/// span into `wire`. Structural validation only (magic, count bounds,
+/// length framing); each inner wire still needs parse_patchset_view.
 Result<std::vector<ByteSpan>> parse_batch_view(ByteSpan wire);
 
 /// True if `wire` starts with the batch envelope magic.

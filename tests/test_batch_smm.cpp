@@ -13,8 +13,8 @@
 #include "core/kshot.hpp"
 #include "core/mailbox.hpp"
 #include "core/smm_handler.hpp"
-#include "crypto/aead.hpp"
 #include "cve/suite.hpp"
+#include "fuzz/smm_session.hpp"
 #include "kcc/compiler.hpp"
 #include "machine/mem_window.hpp"
 #include "patchtool/package.hpp"
@@ -162,30 +162,15 @@ TEST(BatchSession, MidBatchFailureLeavesMemoryByteIdentical) {
        make_pkg(lay.text_base + 0x100, lay.mem_x_base() + 0x400),
        std::move(bad)});
 
-  const auto mode = machine::AccessMode::normal();
-  core::Mailbox mbox(m.mem(), lay.mem_rw_base(), mode);
-  ASSERT_TRUE(mbox.write_command(SmmCommand::kBeginSession).is_ok());
-  m.trigger_smi();
-  auto smm_pub = mbox.read_smm_pub();
-  ASSERT_TRUE(smm_pub.is_ok());
+  fuzz::SmmSessionDriver session(m, lay);
+  ASSERT_TRUE(session.smi(SmmCommand::kBeginSession).is_ok());
   Rng rng(0xBAD5EED);
-  auto keys = crypto::dh_generate(rng);
-  auto shared = crypto::dh_shared(keys.private_key, *smm_pub);
-  auto key =
-      crypto::derive_key(ByteSpan(shared.data(), shared.size()), "sgx-smm");
-  crypto::Nonce96 nonce{};
-  rng.fill(MutByteSpan(nonce.data(), nonce.size()));
-  Bytes sealed = crypto::seal(key, nonce, wire).serialize();
-  ASSERT_TRUE(m.mem().write(lay.mem_w_base(), sealed, mode).is_ok());
-  ASSERT_TRUE(mbox.write_enclave_pub(keys.public_key).is_ok());
-  ASSERT_TRUE(mbox.write_staged_size(sealed.size()).is_ok());
+  ASSERT_TRUE(session.seal_and_stage(wire, rng).is_ok());
 
   machine::MemImage snapshot;
   snapshot.capture(m.mem(), 0, lay.mem_bytes);
 
-  ASSERT_TRUE(mbox.write_command(SmmCommand::kApplyBatch).is_ok());
-  m.trigger_smi();
-  auto st = mbox.read_status();
+  auto st = session.smi(SmmCommand::kApplyBatch);
   ASSERT_TRUE(st.is_ok());
   EXPECT_EQ(*st, SmmStatus::kDigestFailure);
   EXPECT_TRUE(handler.installed().empty());

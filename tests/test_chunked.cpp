@@ -102,7 +102,7 @@ TEST(Chunked, ReplayedChunkRejected) {
   auto& enclave = t.kshot().enclave();
 
   // Manual pipeline up to chunk staging.
-  auto req = enclave.begin_fetch(c.id, netsim::PatchRequest::Op::kFetchPatch);
+  auto req = enclave.begin_fetch(c.id);
   ASSERT_TRUE(req.is_ok());
   auto resp = t.server().handle_request(*req);
   ASSERT_TRUE(resp.is_ok());
@@ -152,7 +152,7 @@ TEST(Chunked, TamperedChunkAbortsStream) {
                machine::AccessMode::normal());
   auto& enclave = t.kshot().enclave();
 
-  auto req = enclave.begin_fetch(c.id, netsim::PatchRequest::Op::kFetchPatch);
+  auto req = enclave.begin_fetch(c.id);
   auto resp = t.server().handle_request(*req);
   ASSERT_TRUE(enclave.finish_fetch(*resp).is_ok());
   ASSERT_TRUE(mbox.write_command(SmmCommand::kBeginSession).is_ok());

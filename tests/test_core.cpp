@@ -76,8 +76,7 @@ TEST(Enclave, UnknownEcallRejected) {
 TEST(Enclave, TamperedResponseRejected) {
   auto t = boot();
   const auto& c = t->cve_case();
-  auto req = t->kshot().enclave().begin_fetch(
-      c.id, netsim::PatchRequest::Op::kFetchPatch);
+  auto req = t->kshot().enclave().begin_fetch(c.id);
   ASSERT_TRUE(req.is_ok());
   auto resp = t->server().handle_request(*req);
   ASSERT_TRUE(resp.is_ok());

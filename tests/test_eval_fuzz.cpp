@@ -4,6 +4,8 @@
 // oopses, trap codes, and final global state — must agree exactly.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -264,6 +266,19 @@ struct FuzzConfig {
   bool inlining;
   bool constfold;
 };
+
+// ctest names each case after the raw bytes of its FuzzConfig. The padding
+// after `constfold` holds whatever was in memory, so the names changed from
+// one build to the next; print it as zeros instead.
+void PrintTo(const FuzzConfig& c, std::ostream* os) {
+  unsigned char raw[sizeof(FuzzConfig)] = {};
+  std::memcpy(raw + offsetof(FuzzConfig, seed), &c.seed, sizeof c.seed);
+  std::memcpy(raw + offsetof(FuzzConfig, inlining), &c.inlining,
+              sizeof c.inlining);
+  std::memcpy(raw + offsetof(FuzzConfig, constfold), &c.constfold,
+              sizeof c.constfold);
+  ::testing::internal::PrintBytesInObjectTo(raw, sizeof raw, os);
+}
 
 class DifferentialFuzz : public ::testing::TestWithParam<FuzzConfig> {};
 

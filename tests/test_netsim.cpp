@@ -54,7 +54,7 @@ TEST(Protocol, OsInfoRoundTrip) {
 
 TEST(Protocol, RequestRoundTrip) {
   PatchRequest req;
-  req.op = PatchRequest::Op::kFetchRollback;
+  req.op = PatchRequest::Op::kFetchPatch;
   req.patch_id = "CVE-2016-5195";
   req.os.version = "sim-4.4";
   req.client_pub[0] = 7;
@@ -76,6 +76,32 @@ TEST(Protocol, ResponseRoundTrip) {
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back->server_pub, resp.server_pub);
   EXPECT_EQ(back->sealed_package, resp.sealed_package);
+}
+
+TEST(Protocol, RollbackFetchOpRejected) {
+  // Op 2 was the rollback fetch: the server shipped the set re-stamped as a
+  // rollback package, which SMM refuses. Every layer now rejects the op.
+  PatchRequest req;
+  req.op = static_cast<PatchRequest::Op>(2);
+  req.patch_id = "CVE-2014-0196";
+  auto back = PatchRequest::deserialize(req.serialize());
+  ASSERT_FALSE(back.is_ok());
+  EXPECT_EQ(back.status().code(), Errc::kInvalidArgument);
+
+  const auto& c = cve::find_case("CVE-2014-0196");
+  auto tb = testbed::Testbed::boot(c, {});
+  ASSERT_TRUE(tb.is_ok());
+  testbed::Testbed& t = **tb;
+  // The enclave's fetch ecall refuses op 2 from the untrusted helper.
+  Bytes ecall_input{2};
+  ecall_input.insert(ecall_input.end(), c.id.begin(), c.id.end());
+  EXPECT_FALSE(
+      t.kshot().enclave().ecall(core::kEcallBeginFetch, ecall_input).is_ok());
+  // A live, attested frame with only its op byte changed is refused too.
+  auto wire = t.kshot().enclave().begin_fetch(c.id);
+  ASSERT_TRUE(wire.is_ok());
+  (*wire)[0] = 2;
+  EXPECT_FALSE(t.server().handle_request(*wire).is_ok());
 }
 
 TEST(Protocol, TruncatedRequestRejected) {
@@ -144,8 +170,7 @@ TEST(Server, ReportMustBindSessionKey) {
   ASSERT_TRUE(tb.is_ok());
   testbed::Testbed& t = **tb;
 
-  auto req_wire = t.kshot().enclave().begin_fetch(
-      c.id, PatchRequest::Op::kFetchPatch);
+  auto req_wire = t.kshot().enclave().begin_fetch(c.id);
   ASSERT_TRUE(req_wire.is_ok());
   auto req = PatchRequest::deserialize(*req_wire);
   ASSERT_TRUE(req.is_ok());
@@ -161,8 +186,7 @@ TEST(Server, ServesSealedPackageToAttestedEnclave) {
   ASSERT_TRUE(tb.is_ok());
   testbed::Testbed& t = **tb;
 
-  auto req_wire = t.kshot().enclave().begin_fetch(
-      c.id, PatchRequest::Op::kFetchPatch);
+  auto req_wire = t.kshot().enclave().begin_fetch(c.id);
   ASSERT_TRUE(req_wire.is_ok());
   auto resp_wire = t.server().handle_request(*req_wire);
   ASSERT_TRUE(resp_wire.is_ok()) << resp_wire.status().to_string();
@@ -260,8 +284,7 @@ TEST(ProtocolRegression, TamperedSealedPackageFailsFinishFetch) {
   auto tb = testbed::Testbed::boot(c, {});
   ASSERT_TRUE(tb.is_ok());
   testbed::Testbed& t = **tb;
-  auto req = t.kshot().enclave().begin_fetch(c.id,
-                                             PatchRequest::Op::kFetchPatch);
+  auto req = t.kshot().enclave().begin_fetch(c.id);
   ASSERT_TRUE(req.is_ok());
   auto resp = t.server().handle_request(*req);
   ASSERT_TRUE(resp.is_ok());
@@ -269,8 +292,7 @@ TEST(ProtocolRegression, TamperedSealedPackageFailsFinishFetch) {
   mutated[mutated.size() / 2] ^= 0x40;  // inside the sealed package
   EXPECT_FALSE(t.kshot().enclave().finish_fetch(mutated).is_ok());
   // And the unmodified response still verifies on a fresh session.
-  auto req2 = t.kshot().enclave().begin_fetch(c.id,
-                                              PatchRequest::Op::kFetchPatch);
+  auto req2 = t.kshot().enclave().begin_fetch(c.id);
   ASSERT_TRUE(req2.is_ok());
   auto resp2 = t.server().handle_request(*req2);
   ASSERT_TRUE(resp2.is_ok());

@@ -344,16 +344,6 @@ TEST(Package, RoundTrip) {
   EXPECT_EQ(p.var_edits, set.patches[0].var_edits);
 }
 
-TEST(Package, OpOverride) {
-  Bytes wire = serialize_patchset(sample_set(), PatchOp::kRollback);
-  auto op = peek_op(wire);
-  ASSERT_TRUE(op.is_ok());
-  EXPECT_EQ(*op, PatchOp::kRollback);
-  auto parsed = parse_patchset(wire);
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_EQ(parsed->patches[0].op, PatchOp::kRollback);
-}
-
 TEST(Package, FnHeaderIs42Bytes) {
   // The paper-visible constant.
   EXPECT_EQ(kFnHeaderBytes, 42u);

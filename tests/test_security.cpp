@@ -7,11 +7,13 @@
 #include "attacks/rootkits.hpp"
 #include "baselines/kpatch_sim.hpp"
 #include "baselines/kup_sim.hpp"
+#include "common/byte_io.hpp"
 #include "core/mailbox.hpp"
 #include "core/smm_handler.hpp"
 #include "crypto/aead.hpp"
 #include "crypto/simple_hash.hpp"
 #include "crypto/x25519.hpp"
+#include "fuzz/smm_session.hpp"
 #include "machine/mem_window.hpp"
 #include "patchtool/package.hpp"
 #include "testbed/testbed.hpp"
@@ -131,17 +133,15 @@ TEST(Hijack, KshotRejectsTamperedStaging) {
 
   // Manually drive the pipeline so the stomp lands between stage and SMI.
   auto& enclave = t->kshot().enclave();
-  auto req = enclave.begin_fetch(c.id, netsim::PatchRequest::Op::kFetchPatch);
+  auto req = enclave.begin_fetch(c.id);
   ASSERT_TRUE(req.is_ok());
   auto resp = t->server().handle_request(*req);
   ASSERT_TRUE(resp.is_ok());
   ASSERT_TRUE(enclave.finish_fetch(*resp).is_ok());
 
-  core::Mailbox mbox(t->machine().mem(), lay.mem_rw_base(),
-                     machine::AccessMode::normal());
-  ASSERT_TRUE(mbox.write_command(core::SmmCommand::kBeginSession).is_ok());
-  t->machine().trigger_smi();
-  auto smm_pub = mbox.read_smm_pub();
+  fuzz::SmmSessionDriver session(t->machine(), lay);
+  ASSERT_TRUE(session.smi(core::SmmCommand::kBeginSession).is_ok());
+  auto smm_pub = session.smm_pub();
   ASSERT_TRUE(smm_pub.is_ok());
   ASSERT_TRUE(enclave.preprocess().is_ok());
   auto sealed = enclave.seal_for_smm(*smm_pub);
@@ -149,21 +149,15 @@ TEST(Hijack, KshotRejectsTamperedStaging) {
 
   crypto::X25519Key pub;
   std::copy(sealed->begin(), sealed->begin() + 32, pub.begin());
-  Bytes package(sealed->begin() + 32, sealed->end());
-  ASSERT_TRUE(t->machine()
-                  .mem()
-                  .write(lay.mem_w_base(), package,
-                         machine::AccessMode::normal())
-                  .is_ok());
-  ASSERT_TRUE(mbox.write_enclave_pub(pub).is_ok());
-  ASSERT_TRUE(mbox.write_staged_size(package.size()).is_ok());
+  ASSERT_TRUE(
+      session.stage(ByteSpan(*sealed).subspan(32), pub).is_ok());
 
   // The attack: kernel-privileged corruption of the staged ciphertext.
   Stomper(lay).on_tick(t->machine(), t->kernel());
 
-  ASSERT_TRUE(mbox.write_command(core::SmmCommand::kApplyPatch).is_ok());
-  t->machine().trigger_smi();
-  EXPECT_EQ(*mbox.read_status(), core::SmmStatus::kMacFailure);
+  auto st = session.smi(core::SmmCommand::kApplyPatch);
+  ASSERT_TRUE(st.is_ok());
+  EXPECT_EQ(*st, core::SmmStatus::kMacFailure);
 
   // Nothing was applied; the kernel still runs the (original) code and
   // benign traffic is unaffected.
@@ -233,11 +227,8 @@ TEST(Replay, ReplayIntoFreshSessionStillRejected) {
   ASSERT_TRUE(attacker.capture(t->machine()).is_ok());
   ASSERT_TRUE(t->kshot().rollback().is_ok());
 
-  core::Mailbox mbox(t->machine().mem(),
-                     t->kernel().layout().mem_rw_base(),
-                     machine::AccessMode::normal());
-  ASSERT_TRUE(mbox.write_command(core::SmmCommand::kBeginSession).is_ok());
-  t->machine().trigger_smi();
+  fuzz::SmmSessionDriver session(t->machine(), t->kernel().layout());
+  ASSERT_TRUE(session.smi(core::SmmCommand::kBeginSession).is_ok());
 
   auto st = attacker.replay(t->machine());
   ASSERT_TRUE(st.is_ok());
@@ -356,64 +347,65 @@ struct SmmRig {
   explicit SmmRig(kernel::MemoryLayout layout)
       : lay(layout),
         m(lay.mem_bytes, lay.smram_base, lay.smram_size, 0x7E57),
-        handler(lay, 0x7E57) {
+        handler(lay, 0x7E57),
+        session(m, lay) {
     EXPECT_TRUE(m.set_smm_handler([this](machine::Machine& mm) {
                    handler.on_smi(mm);
                  }).is_ok());
   }
 
+  /// Begins a session and seals and stages `package_wire` under it, with
+  /// the attacker's fixed key and nonce stream.
+  void stage(const Bytes& package_wire) {
+    EXPECT_TRUE(session.smi(core::SmmCommand::kBeginSession).is_ok());
+    Rng rng(0xBAD5EED);
+    EXPECT_TRUE(session.seal_and_stage(package_wire, rng).is_ok());
+  }
+
+  /// Raises `cmd` and returns the status word; a kOk apply pushes the
+  /// session's rollback token.
+  core::SmmStatus apply(core::SmmCommand cmd = core::SmmCommand::kApplyPatch) {
+    auto st = session.smi(cmd);
+    EXPECT_TRUE(st.is_ok());
+    if (st.is_ok() && *st == core::SmmStatus::kOk) {
+      tokens.push_back(session.rollback_token());
+    }
+    return st.is_ok() ? *st : core::SmmStatus::kOk;
+  }
+
   /// Runs the full staging handshake for `package_wire` and returns the SMM
   /// status word after the apply SMI.
   core::SmmStatus deliver(const Bytes& package_wire) {
-    const auto mode = machine::AccessMode::normal();
-    core::Mailbox mbox(m.mem(), lay.mem_rw_base(), mode);
-    EXPECT_TRUE(mbox.write_command(core::SmmCommand::kBeginSession).is_ok());
-    m.trigger_smi();
-    auto smm_pub = mbox.read_smm_pub();
-    EXPECT_TRUE(smm_pub.is_ok());
-
-    Rng rng(0xBAD5EED);
-    auto keys = crypto::dh_generate(rng);
-    auto shared = crypto::dh_shared(keys.private_key, *smm_pub);
-    auto key =
-        crypto::derive_key(ByteSpan(shared.data(), shared.size()), "sgx-smm");
-    crypto::Nonce96 nonce{};
-    rng.fill(MutByteSpan(nonce.data(), nonce.size()));
-    Bytes sealed = crypto::seal(key, nonce, package_wire).serialize();
-
-    EXPECT_TRUE(m.mem().write(lay.mem_w_base(), sealed, mode).is_ok());
-    EXPECT_TRUE(mbox.write_enclave_pub(keys.public_key).is_ok());
-    EXPECT_TRUE(mbox.write_staged_size(sealed.size()).is_ok());
-    EXPECT_TRUE(mbox.write_command(core::SmmCommand::kApplyPatch).is_ok());
-    m.trigger_smi();
-    auto st = mbox.read_status();
-    EXPECT_TRUE(st.is_ok());
-    if (st.is_ok() && *st == core::SmmStatus::kOk) {
-      tokens.push_back(
-          core::rollback_token(ByteSpan(shared.data(), shared.size()), 0));
-    }
-    return st.is_ok() ? *st : core::SmmStatus::kOk;
+    stage(package_wire);
+    return apply();
   }
 
   /// kRollback presenting the newest delivered unit's token (zeros when
   /// nothing was delivered), as the enclave would; returns the status word.
   core::SmmStatus rollback() {
-    core::Mailbox mbox(m.mem(), lay.mem_rw_base(),
-                       machine::AccessMode::normal());
-    EXPECT_TRUE(mbox.write_rollback_token(tokens.empty() ? core::RollbackToken{}
+    EXPECT_TRUE(session.mailbox()
+                    .write_rollback_token(tokens.empty() ? core::RollbackToken{}
                                                          : tokens.back())
                     .is_ok());
-    EXPECT_TRUE(mbox.write_command(core::SmmCommand::kRollback).is_ok());
-    m.trigger_smi();
-    auto st = mbox.read_status();
+    auto st = session.smi(core::SmmCommand::kRollback);
     EXPECT_TRUE(st.is_ok());
     if (st.is_ok() && *st == core::SmmStatus::kOk) tokens.pop_back();
     return st.is_ok() ? *st : core::SmmStatus::kBadCommand;
   }
 
+  /// Everything outside SMRAM and the mailbox page, the two regions SMIs
+  /// legitimately change.
+  [[nodiscard]] machine::MemWindow outside_smm_scratch() const {
+    return machine::MemWindow(
+        0, lay.mem_bytes,
+        {{lay.smram_base, lay.smram_base + lay.smram_size},
+         {lay.mem_rw_base(), lay.mem_rw_base() + lay.mem_rw_size}});
+  }
+
   kernel::MemoryLayout lay;
   machine::Machine m;
   core::SmmPatchHandler handler;
+  fuzz::SmmSessionDriver session;
   std::vector<core::RollbackToken> tokens;  // applied units, oldest first
 };
 
@@ -548,6 +540,72 @@ TEST(MaliciousPackage, MixedOpPackageRejected) {
       rig.m.mem().read_bytes(rig.lay.text_base, entry_bytes.size(), mode);
   ASSERT_TRUE(text.is_ok());
   EXPECT_EQ(*text, entry_bytes);
+}
+
+/// Applies a one-function patch set through `rig` and returns it.
+patchtool::PatchSet apply_one(SmmRig& rig) {
+  patchtool::PatchSet set;
+  set.id = "GOOD";
+  set.kernel_version = "sim-4.4";
+  set.patches.push_back(
+      make_entry("fn", rig.lay.text_base, rig.lay.mem_x_base()));
+  EXPECT_EQ(rig.deliver(
+                patchtool::serialize_patchset(set, patchtool::PatchOp::kPatch)),
+            core::SmmStatus::kOk);
+  EXPECT_EQ(rig.handler.installed().size(), 1u);
+  return set;
+}
+
+/// Raises `cmd` over what `rig` has staged, expecting a refusal that leaves
+/// the applied unit installed and memory outside SMRAM and the mailbox
+/// byte-identical. The operator's token still rolls the unit back after.
+void expect_refused_and_harmless(SmmRig& rig, core::SmmCommand cmd) {
+  machine::MemImage before;
+  before.capture(rig.m.mem(), 0, rig.lay.mem_bytes);
+  EXPECT_EQ(rig.apply(cmd), core::SmmStatus::kBadPackage);
+  EXPECT_EQ(rig.handler.installed().size(), 1u);
+  EXPECT_EQ(rig.handler.applied_units().size(), 1u);
+  auto at = rig.outside_smm_scratch().first_difference(rig.m.mem(), before);
+  EXPECT_FALSE(at.has_value())
+      << "refused package wrote 0x" << std::hex << *at;
+  EXPECT_EQ(rig.rollback(), core::SmmStatus::kOk);
+  EXPECT_TRUE(rig.handler.installed().empty());
+}
+
+TEST(MaliciousPackage, RollbackOpPackageCannotBypassToken) {
+  // kRollback and kRevertPatch need the unit's rollback token. A package
+  // whose entries carry the rollback op used to pop the newest unit with
+  // no token at all, so anyone able to run the handshake — a kernel-level
+  // attacker — could undo an applied patch through kApplyPatch.
+  SmmRig rig({});
+  patchtool::PatchSet set = apply_one(rig);
+  rig.stage(patchtool::serialize_patchset(set, patchtool::PatchOp::kRollback));
+  expect_refused_and_harmless(rig, core::SmmCommand::kApplyPatch);
+}
+
+TEST(MaliciousPackage, RollbackOpStreamCannotBypassToken) {
+  // The same forgery as the one-chunk stream: the final chunk's package
+  // takes the same verify-and-apply path and is refused the same way.
+  SmmRig rig({});
+  patchtool::PatchSet set = apply_one(rig);
+  ASSERT_TRUE(rig.session.smi(core::SmmCommand::kBeginSession).is_ok());
+  auto smm_pub = rig.session.smm_pub();
+  ASSERT_TRUE(smm_pub.is_ok());
+  Rng rng(0xBAD5EED);
+  auto keys = crypto::dh_generate(rng);
+  auto shared = crypto::dh_shared(keys.private_key, *smm_pub);
+  auto key = crypto::derive_key(ByteSpan(shared.data(), shared.size()),
+                                "sgx-smm-stream");
+  ByteWriter chunk;
+  chunk.put_u32(0);  // index
+  chunk.put_u32(1);  // total: the first chunk is the final one
+  chunk.put_bytes(
+      patchtool::serialize_patchset(set, patchtool::PatchOp::kRollback));
+  crypto::Nonce96 nonce{};  // chunk index 0 in the first four bytes
+  nonce[11] = 0x5C;         // the stream nonce tag
+  Bytes sealed = crypto::seal(key, nonce, chunk.bytes()).serialize();
+  ASSERT_TRUE(rig.session.stage(sealed, keys.public_key).is_ok());
+  expect_refused_and_harmless(rig, core::SmmCommand::kStageChunk);
 }
 
 /// Every kernel-owned byte: [0, SMRAM) and (SMRAM, reserved region). SMRAM
@@ -694,17 +752,15 @@ TEST(RollbackAuthority, KernelRaisedRollbackIsRefusedDetectedAndHarmless) {
   machine::MemImage patched;
   patched.capture(t->machine().mem(), 0, lay.epc_base);
 
-  core::Mailbox mbox(t->machine().mem(), lay.mem_rw_base(),
-                     machine::AccessMode::normal());
+  fuzz::SmmSessionDriver session(t->machine(), lay);
   auto raise = [&](core::SmmCommand cmd) {
-    EXPECT_TRUE(mbox.write_command(cmd).is_ok());
-    t->machine().trigger_smi();
-    return mbox.read_status().value_or(core::SmmStatus::kOk);
+    return session.smi(cmd).value_or(core::SmmStatus::kOk);
   };
   EXPECT_EQ(raise(core::SmmCommand::kRollback),
             core::SmmStatus::kRollbackDenied);
-  ASSERT_TRUE(mbox.write_revert_target(crypto::sdbm(to_bytes(
-                                           std::string("CVE-2014-0196"))))
+  ASSERT_TRUE(session.mailbox()
+                  .write_revert_target(crypto::sdbm(
+                      to_bytes(std::string("CVE-2014-0196"))))
                   .is_ok());
   EXPECT_EQ(raise(core::SmmCommand::kRevertPatch),
             core::SmmStatus::kRollbackDenied);

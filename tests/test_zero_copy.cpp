@@ -1,18 +1,18 @@
-// Zero-copy differential layer (the tentpole's lock): the legacy copying
-// package parser and the new span parser must be observationally identical
-// on every input the repo has ever cared about. Both parser modes replay
-// the ENTIRE checked-in fuzz corpus — package wires (bare and batch
-// envelopes), lifecycle op schedules, and attacker schedules — and every
-// case must produce the same verdict, the same oracle outcome, and a
-// byte-identical state digest (final target memory + per-step statuses +
-// trace span content). The only thing allowed to differ between the modes
-// is the smm.staged_copies counter, which is the whole point: the staged
-// path must copy exactly once (the SMM commit write) under the span parser.
-// The hashing work of one bulk patch is pinned the same way, through the
-// crypto.sha256_bytes / crypto.crc32_bytes counters.
+// Zero-copy layer. The fuzz corpus replay pins every observable outcome of
+// the package, lifecycle and attacker surfaces: each checked-in corpus case
+// and a seeded slice of freshly generated cases must reproduce the verdict,
+// the failure string and the state digest (final target memory + per-step
+// statuses + trace span content) frozen in tests/corpus/state_digests.txt.
+// The frozen file was recorded while a legacy copying parser still ran
+// next to the span parser and both agreed on every case (hence the test
+// names); it now guards the single parser and the single SMM apply path.
+// The counters then pin the copies and hashing work of one live_patch.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 #include "core/kshot.hpp"
 #include "crypto/counters.hpp"
@@ -36,84 +36,97 @@ std::vector<CorpusEntry> corpus_for(const std::string& surface) {
   return out;
 }
 
-/// Runs one corpus entry through both parser modes and asserts the
-/// observable outcomes are identical. `digest_required` is false only for
-/// surfaces that can legitimately skip (attacker boots can refuse).
-void expect_differential_identical(Surface& legacy, Surface& spans,
-                                   const CorpusEntry& e,
-                                   bool digest_required = true) {
-  SCOPED_TRACE(e.surface + "/" + e.file);
-  auto vl = legacy.execute(e.input);
-  auto vs = spans.execute(e.input);
-  EXPECT_EQ(static_cast<int>(vl.kind), static_cast<int>(vs.kind));
-  ASSERT_EQ(vl.failure.has_value(), vs.failure.has_value())
-      << (vl.failure ? "legacy tripped: " + vl.failure->first
-                     : "span tripped: " + vs.failure->first);
-  if (vl.failure) {
-    EXPECT_EQ(vl.failure->first, vs.failure->first);
-    EXPECT_EQ(vl.failure->second, vs.failure->second);
+/// tests/corpus/state_digests.txt: one line per case,
+/// "<surface>/<case> <verdict> <state digest or -> <failure or ->".
+const std::map<std::string, std::string>& frozen_outcomes() {
+  static const std::map<std::string, std::string> lines = [] {
+    std::map<std::string, std::string> out;
+    std::ifstream in(std::string(KSHOT_CORPUS_DIR) + "/state_digests.txt");
+    EXPECT_TRUE(in.good()) << "cannot open state_digests.txt";
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      out.emplace(line.substr(0, line.find(' ')), line);
+    }
+    return out;
+  }();
+  return lines;
+}
+
+/// One case's outcome in the frozen file's line format.
+std::string render(const std::string& key, const Surface::Verdict& v) {
+  static const char* kKinds[] = {"rejected", "accepted", "skipped"};
+  std::string line = key + " " + kKinds[static_cast<int>(v.kind)] + " " +
+                     (v.state_digest.empty() ? "-" : v.state_digest) + " ";
+  if (!v.failure) return line + "-";
+  std::string f = v.failure->first + ": " + v.failure->second;
+  for (char& c : f) {
+    if (c == '\n') c = ' ';
   }
-  if (digest_required && vl.kind != Surface::Verdict::Kind::kSkipped) {
-    EXPECT_FALSE(vl.state_digest.empty());
+  return line + f;
+}
+
+/// Runs one case and asserts its outcome matches the frozen line.
+/// `digest_required` is false only for surfaces that can legitimately skip
+/// (attacker boots can refuse).
+void expect_frozen(Surface& surface, const std::string& key, ByteSpan input,
+                   bool digest_required = true) {
+  SCOPED_TRACE(key);
+  const Surface::Verdict v = surface.execute(input);
+  if (digest_required && v.kind != Surface::Verdict::Kind::kSkipped) {
+    EXPECT_FALSE(v.state_digest.empty());
   }
-  EXPECT_EQ(vl.state_digest, vs.state_digest);
+  auto it = frozen_outcomes().find(key);
+  ASSERT_NE(it, frozen_outcomes().end()) << "no frozen line for " << key;
+  EXPECT_EQ(render(key, v), it->second);
+}
+
+void expect_corpus_frozen(const std::string& surface_name,
+                          bool digest_required = true) {
+  auto surface = make_surface(surface_name);
+  ASSERT_TRUE(surface);
+  for (const auto& e : corpus_for(surface_name)) {
+    expect_frozen(*surface, e.surface + "/" + e.file, e.input,
+                  digest_required);
+  }
 }
 
 TEST(ZeroCopyDifferential, PackageCorpusIdenticalAcrossParserModes) {
-  auto legacy = make_package_surface({.legacy_copy_parser = true});
-  auto spans = make_package_surface({});
-  for (const auto& e : corpus_for("package")) {
-    expect_differential_identical(*legacy, *spans, e);
-  }
+  expect_corpus_frozen("package");
 }
 
 TEST(ZeroCopyDifferential, LifecycleCorpusIdenticalAcrossParserModes) {
-  auto legacy = make_lifecycle_surface({.legacy_copy_parser = true});
-  auto spans = make_lifecycle_surface({});
-  for (const auto& e : corpus_for("lifecycle")) {
-    expect_differential_identical(*legacy, *spans, e);
-  }
+  expect_corpus_frozen("lifecycle");
 }
 
 TEST(ZeroCopyDifferential, AttackerCorpusIdenticalAcrossParserModes) {
-  auto legacy = make_attacker_schedule_surface({.legacy_copy_parser = true});
-  auto spans = make_attacker_schedule_surface({});
-  for (const auto& e : corpus_for("attacker_schedule")) {
-    expect_differential_identical(*legacy, *spans, e,
-                                  /*digest_required=*/false);
+  expect_corpus_frozen("attacker_schedule", /*digest_required=*/false);
+}
+
+/// The replay also has to hold off the checked-in corpus: a seeded slice of
+/// freshly generated cases (the same generators the fuzzer uses).
+void expect_generated_frozen(const std::string& surface_name, u64 seed) {
+  auto surface = make_surface(surface_name);
+  ASSERT_TRUE(surface);
+  Rng rng(seed);
+  for (u32 i = 0; i < 40; ++i) {
+    Bytes wire = surface->generate(rng);
+    expect_frozen(*surface, surface_name + "/generated-" + std::to_string(i),
+                  wire);
   }
 }
 
-/// The differential also has to hold off the checked-in corpus: a seeded
-/// slice of freshly generated cases (the same generators the fuzzer uses)
-/// goes through both modes. Catches parser divergence on inputs nobody has
-/// minimized yet.
 TEST(ZeroCopyDifferential, GeneratedPackageCasesIdenticalAcrossParserModes) {
-  auto legacy = make_package_surface({.legacy_copy_parser = true});
-  auto spans = make_package_surface({});
-  Rng rng(0x2E80C0);
-  for (u32 i = 0; i < 40; ++i) {
-    Bytes wire = spans->generate(rng);
-    CorpusEntry e{"package", "generated-" + std::to_string(i), wire};
-    expect_differential_identical(*legacy, *spans, e);
-  }
+  expect_generated_frozen("package", 0x2E80C0);
 }
 
 TEST(ZeroCopyDifferential, GeneratedLifecycleCasesIdenticalAcrossParserModes) {
-  auto legacy = make_lifecycle_surface({.legacy_copy_parser = true});
-  auto spans = make_lifecycle_surface({});
-  Rng rng(0x11FEC7C1E);
-  for (u32 i = 0; i < 40; ++i) {
-    Bytes wire = spans->generate(rng);
-    CorpusEntry e{"lifecycle", "generated-" + std::to_string(i), wire};
-    expect_differential_identical(*legacy, *spans, e);
-  }
+  expect_generated_frozen("lifecycle", 0x11FEC7C1E);
 }
 
-/// The payoff the differential locks in: on the staged hot path the span
-/// parser copies package bytes exactly once — the SMM commit write — where
-/// the legacy parser copies on deserialize, open, parse, retention, and
-/// commit.
+/// On the staged hot path package bytes are copied exactly once — the SMM
+/// commit write. The envelope is decrypted in place and everything else
+/// borrows spans from it.
 TEST(ZeroCopyCounters, StagedPathCopiesExactlyOncePerPackage) {
   obs::MetricsRegistry reg;
   testbed::TestbedOptions topts;
@@ -161,34 +174,6 @@ TEST(ZeroCopyCounters, BulkPatchHashWorkIsPinned) {
   // the enclave's seal, one at SMM's apply), one block each.
   EXPECT_EQ(sha, 5330752u);
   EXPECT_EQ(crc, 2048400u);
-}
-
-TEST(ZeroCopyCounters, LegacyParserCopiesStrictlyMore) {
-  obs::MetricsRegistry reg;
-  testbed::TestbedOptions topts;
-  topts.seed = 0x5EED;
-  topts.metrics = &reg;
-  auto tb = testbed::Testbed::boot(cve::find_case("CVE-2014-0196"),
-                                   std::move(topts));
-  ASSERT_TRUE(tb.is_ok()) << tb.status().to_string();
-  (*tb)->kshot().handler().enable_legacy_copy_parser_for_selftest();
-  auto rep = (*tb)->kshot().live_patch("CVE-2014-0196");
-  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
-  ASSERT_TRUE(rep->success);
-  EXPECT_EQ(reg.counter("smm.staged_copies").value(), 5u);
-  // The parser seam must never leak into the modeled result: same seed,
-  // same CVE, same downtime as the zero-copy run.
-  obs::MetricsRegistry reg2;
-  testbed::TestbedOptions t2;
-  t2.seed = 0x5EED;
-  t2.metrics = &reg2;
-  auto tb2 = testbed::Testbed::boot(cve::find_case("CVE-2014-0196"),
-                                    std::move(t2));
-  ASSERT_TRUE(tb2.is_ok());
-  auto rep2 = (*tb2)->kshot().live_patch("CVE-2014-0196");
-  ASSERT_TRUE(rep2.is_ok());
-  EXPECT_EQ(rep->downtime_cycles, rep2->downtime_cycles);
-  EXPECT_EQ(rep->smm.modeled_total_us, rep2->smm.modeled_total_us);
 }
 
 }  // namespace
